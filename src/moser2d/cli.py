@@ -14,8 +14,10 @@ import io
 import json
 import math
 import platform
+import re
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 import scipy
@@ -48,6 +50,24 @@ def _beta(text: str) -> float:
         head = t[:-2]
         return (float(head) if head else 1.0) * math.pi
     return float(t)
+
+
+# CPython prints no int of more digits (sys.get_int_max_str_digits)
+_MAX_N_DIGITS = 4300
+
+
+def _exact_int(text) -> int:
+    """A positive integer given in decimal or scientific notation, exactly.
+
+    '1e400' is 10**400; '1.5', '0' and '-3' raise ValueError.
+    """
+    exp = re.search(r"[eE]([+-]?\d+)\s*$", str(text))
+    if exp and abs(int(exp.group(1))) >= _MAX_N_DIGITS:
+        raise ValueError("n = %s has more than %d digits" % (str(text).strip(), _MAX_N_DIGITS))
+    q = Fraction(text)
+    if q.denominator != 1 or q <= 0:
+        raise ValueError("n must be a positive integer, got %s" % str(text).strip())
+    return q.numerator
 
 
 def _float_list(text: str, conv=float):
@@ -313,7 +333,8 @@ def cmd_optimize(ns) -> int:
 
 
 def cmd_scan_blowup(ns) -> int:
-    rows = blowup_scan(ns.delta, ns.K, ns.beta_list, ns.n_list, tol=max(ns.tol, 1e-10))
+    n_list = [_exact_int(n) for n in ns.n_list]
+    rows = blowup_scan(ns.delta, ns.K, ns.beta_list, n_list, tol=max(ns.tol, 1e-10))
     _emit(ns, {"rows": rows}, rows=rows)
     return 0
 
@@ -452,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument(
         "--ns",
         dest="n_list",
-        type=lambda s: _float_list(s, lambda x: int(float(x))),
+        type=lambda s: _float_list(s, str),
         default=list(_BLOWUP_NS),
         help="comma list of n values",
     )

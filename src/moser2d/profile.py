@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
-
-from .quadrature import profile_exp_integral
+from .quadrature import profile_exp_integral, segment_moments
 
 __all__ = [
     "RadialProfile",
@@ -187,8 +185,10 @@ class RadialProfile:
 class FunctionalReport:
     """J_beta plus the norms entering every constraint set.
 
-    quad_error is the relative quadrature error estimate for j_beta; the
-    norms are closed-form exact.
+    quad_error bounds the relative error of j_beta: the rounding of the
+    closed-form linear pieces, eps times their condition number, plus the
+    truncation of the pieces summed as a series.  The norms are closed-form
+    exact.
     """
 
     j_beta: float
@@ -231,8 +231,8 @@ def dirichlet_norm_sq(p: RadialProfile) -> float:
 def l2_norm_sq(p: RadialProfile) -> float:
     """T int U(s)^2 e^{-s} ds in closed form (no quadrature).
 
-    Per segment the integrand is (polynomial) * e^{-s}; lower incomplete
-    gamma values gammainc(k+1, L) give int_0^L x^k e^{-x} dx exactly.
+    Per segment the integrand is (polynomial) * e^{-s}, integrated with
+    the moments int_0^L x^k e^{-x} dx of segment_moments.
     """
     s, v = p.s, p.v
     ds = np.diff(s)
@@ -244,9 +244,7 @@ def l2_norm_sq(p: RadialProfile) -> float:
         ln = ds[seg]
         p0 = v[:-1][seg]
         m = dv[seg] / ln
-        p1 = -np.expm1(-ln)
-        p2 = gammainc(2.0, ln)
-        p3 = 2.0 * gammainc(3.0, ln)
+        p1, p2, p3 = segment_moments(ln, 2)
         acc = float(np.sum(np.exp(-a) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)))
     tail = float(v[-1]) ** 2 * math.exp(-float(s[-1]))
     return p.t_support * (acc + tail)
@@ -255,9 +253,9 @@ def l2_norm_sq(p: RadialProfile) -> float:
 def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> FunctionalReport:
     """J_beta(u) = T int (e^{beta U^2} - 1) e^{-s} ds with norms attached.
 
-    Constant pieces and the terminal plateau are closed form; linear
-    pieces go through adaptive Gauss-Kronrod panels assembled in log
-    space.  Raises ValueOverflowError when the true value exceeds
+    Every piece is closed form: linear pieces through Dawson's function,
+    or a positive Taylor series where that would cancel below tol (see
+    quadrature).  Raises ValueOverflowError when the true value exceeds
     binary64 range.
     """
     beta = float(beta)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import RadialProfile
+from .quadrature import segment_moments
 
 __all__ = [
     "WeightedSamples",
@@ -115,19 +116,17 @@ def profile_distribution(p: RadialProfile, level: float) -> float:
 def _l1_tail(p: RadialProfile, s0: float) -> float:
     # T int_{s0}^inf U(s) e^{-s} ds with s0 >= 0, exact per segment
     s, v = p.s, p.v
+    ds = np.diff(s)
+    seg = (s[1:] > s0) & (ds > 0.0)
     acc = 0.0
-    for i in range(s.size - 1):
-        if s[i + 1] <= s0 or s[i + 1] == s[i]:
-            continue
-        a = max(float(s[i]), s0)
-        m = (v[i + 1] - v[i]) / (s[i + 1] - s[i])
-        va = v[i] + m * (a - s[i])
-        ln = float(s[i + 1]) - a
-        # int_0^L (va + m x) e^{-x} dx = va (1 - e^{-L}) + m (1 - (1+L) e^{-L})
-        el = math.exp(-ln)
-        acc += math.exp(-a) * (va * -math.expm1(-ln) + m * (1.0 - (1.0 + ln) * el))
-    a = max(float(s[-1]), s0)
-    acc += float(v[-1]) * math.exp(-a)
+    if seg.any():
+        a = np.maximum(s[:-1][seg], s0)
+        m = np.diff(v)[seg] / ds[seg]
+        va = v[:-1][seg] + m * (a - s[:-1][seg])
+        # int_0^L (va + m x) e^{-x} dx = va M_0 + m M_1
+        m0, m1 = segment_moments(s[1:][seg] - a, 1)
+        acc = float(np.sum(np.exp(-a) * (va * m0 + m * m1)))
+    acc += float(v[-1]) * math.exp(-max(float(s[-1]), s0))
     return p.t_support * acc
 
 

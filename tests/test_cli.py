@@ -173,6 +173,15 @@ def test_scan_blowup_csv_preserves_precision(tmp_path):
         assert float(got["lower_bound"]) == want["lower_bound"]
 
 
+def test_scan_blowup_parses_n_exactly():
+    res = run_cli("scan-blowup", "--betas", "4pi", "--ns", "1e400")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["rows"][0]["n"] == 10**400
+    res = run_cli("scan-blowup", "--betas", "4pi", "--ns", "1.5")
+    assert res.returncode == 2
+    assert "positive integer" in res.stderr
+
+
 def test_tables():
     res = run_cli("table", "zygmund-optimality")
     assert res.returncode == 0

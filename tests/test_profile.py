@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moser2d import (
     RadialProfile,
@@ -11,6 +12,7 @@ from moser2d import (
     insert_knot,
     l2_norm_sq,
     moser,
+    remainder_functional,
     scale_amplitude,
     scale_dilate,
     tm_functional,
@@ -27,6 +29,29 @@ from conftest import (
 )
 
 PI = math.pi
+
+# property tests draw a fixed, seed-independent sequence of examples
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+_BETAS = st.floats(0.3, 4.0 * PI)
+
+
+@st.composite
+def _profiles(draw):
+    # nondecreasing piecewise-linear profiles with rises, constant pieces and
+    # an optional positive edge value; beta U^2 stays below a few hundred,
+    # and above 3e-5 at the top, where brute_j's expm1(w) - w still holds
+    n = draw(st.integers(1, 6))
+    ds = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    dv = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 0.8)), min_size=n, max_size=n))
+    v0 = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3)))
+    t_sup = math.exp(draw(st.floats(-3.0, 5.0)))
+    return RadialProfile(t_sup, np.cumsum([0.0] + ds), v0 + np.cumsum([0.0] + dv))
+
+
+def _j(p, beta, kind="expm1"):
+    if kind == "expm1":
+        return tm_functional(p, beta, 1e-10).j_beta
+    return remainder_functional(p, beta, 1e-10)
 
 
 def test_construction_rejects_bad_inputs():
@@ -177,6 +202,88 @@ def test_underflowed_panels_are_not_dropped():
     assert rel_err(rep.j_beta, moser_j_oracle(10**40000)) < 1e-8
     j_ce = tm_functional(counterexample(10**100000), 4.0 * PI, tol=1e-8).j_beta
     assert rel_err(j_ce, counterexample_j_oracle(10**100000)) < 1e-8
+
+
+@_PROPERTY
+@given(_profiles(), _BETAS, st.sampled_from(["expm1", "remainder"]))
+def test_property_matches_brute_quadrature(p, beta, kind):
+    assert rel_err(_j(p, beta, kind), brute_j(p, beta, kind)) < 1e-9
+
+
+@_PROPERTY
+@given(_profiles(), _BETAS, st.floats(0.3, 1.7))
+def test_property_amplitude_trades_for_beta(p, beta, a):
+    # J_beta(a u) = J_{a^2 beta}(u)
+    assert rel_err(_j(scale_amplitude(p, a), beta), _j(p, a * a * beta)) < 1e-9
+
+
+@_PROPERTY
+@given(_profiles(), _BETAS, st.floats(0.2, 5.0))
+def test_property_dilation_scales_by_support(p, beta, b):
+    # u(b x) has support |supp u|/b^2 and the same rearranged profile in s
+    assert rel_err(_j(scale_dilate(p, b), beta), _j(p, beta) / (b * b)) < 1e-12
+
+
+@_PROPERTY
+@given(_profiles(), _BETAS, st.floats(0.0, 1.2), st.sampled_from(["expm1", "remainder"]))
+def test_property_insert_knot_changes_nothing(p, beta, where, kind):
+    q = insert_knot(p, where * float(p.s[-1]))
+    assert rel_err(_j(q, beta, kind), _j(p, beta, kind)) < 1e-9
+
+
+def _nearly_flat_phi():
+    # phi = beta U^2 - s has slope 2 beta U m - 1 ~ 1e-5 on a piece that
+    # moves z = sqrt(beta) U - 1/(2 sqrt(beta) m) from 0.5 by only 1e-5
+    beta = 4.0 * PI
+    m = 1.0 / (2.0 * beta)
+    rb = math.sqrt(beta)
+    v0 = (0.5 + 1.0 / (2.0 * rb * m)) / rb
+    length = 1e-5 / (rb * m)
+    return RadialProfile(2.0, [0.0, length], [v0, v0 + m * length])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        _nearly_flat_phi(),
+        # w = beta U^2 below 2e-8: e^w - 1 cancels in closed form
+        RadialProfile(3.0, [0.0, 2.0, 5.0], [0.0, 1e-5, 3e-5]),
+        # slope 1e-12: z ~ -1e11, D(z) ~ 1/(2z)
+        RadialProfile(1.5, [0.0, 1.0, 2.0], [0.0, 0.5, 0.5 + 1e-12]),
+        # z1 < 0 < z2: the Dawson terms add
+        RadialProfile(1.0, [0.0, 5.0], [0.1, 1.6]),
+        # the last piece and the plateau underflow to 0
+        RadialProfile(1.0, [0.0, 1.0, 800.0, 801.0], [0.0, 0.5, 0.6, 0.7]),
+    ],
+    ids=["nearly_flat_phi", "small_w", "tiny_slope", "z_straddles_0", "underflow"],
+)
+def test_closed_form_regimes_match_brute_quadrature(p):
+    beta = 4.0 * PI
+    assert rel_err(_j(p, beta), brute_j(p, beta)) < 1e-12
+    if p.v[-1] > 1e-3:
+        # at w ~ 1e-8 brute_j's expm1(w) - w loses 8 digits itself
+        assert rel_err(_j(p, beta, "remainder"), brute_j(p, beta, "remainder")) < 1e-12
+
+
+def test_small_w_remainder_keeps_precision():
+    # the small-w profile's remainder against 40-digit quadrature, since
+    # brute_j's expm1(w) - w cancels there
+    import mpmath as mp
+
+    p = RadialProfile(3.0, [0.0, 2.0, 5.0], [0.0, 1e-5, 3e-5])
+    beta = 4.0 * PI
+
+    def f(x, v0, m, a):
+        w = beta * (v0 + m * (x - a)) ** 2
+        return (mp.expm1(w) - w) * mp.e ** (-x)
+
+    with mp.workdps(40):
+        total = mp.quad(lambda x: f(x, 0, mp.mpf(1e-5) / 2, 0), [0, 2])
+        total += mp.quad(lambda x: f(x, mp.mpf(1e-5), (mp.mpf(3e-5) - mp.mpf(1e-5)) / 3, 2), [2, 5])
+        w_top = beta * mp.mpf(3e-5) ** 2
+        total += (mp.expm1(w_top) - w_top) * mp.e ** -5
+        want = float(3 * total)
+    assert rel_err(_j(p, beta, "remainder"), want) < 1e-12
 
 
 def test_scale_amplitude_and_dilate_norms():

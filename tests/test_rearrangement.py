@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moser2d import (
+    RadialProfile,
     WeightedSamples,
     alvino_extremal,
     alvino_l2_sq,
@@ -128,6 +129,18 @@ def test_maximal_function_of_linear_rise():
         maximal_function(p, 0.0)
     with pytest.raises(ValueError):
         maximal_function(p, math.inf)
+
+
+def test_maximal_function_keeps_precision_on_a_steep_ramp():
+    # u* rises from 0 to 1 over s in [0, L], L = 1e-9: the ramp's share
+    # (1 - (1 + L) e^{-L})/L cancels every digit when formed directly
+    import mpmath as mp
+
+    p = RadialProfile(1.0, [0.0, 1e-9], [0.0, 1.0])
+    with mp.workdps(40):
+        ln = mp.mpf(1e-9)
+        want = float((1 - (1 + ln) * mp.exp(-ln)) / ln + mp.exp(-ln))
+    assert rel_err(maximal_function(p, 1.0), want) < 1e-15
 
 
 def test_sorted_arrangement_minimizes_increment_energy():
