@@ -38,7 +38,7 @@ from .inequalities import (
 from .optimizer import ConstraintSet, blowup_scan, maximize
 from .profile import RadialProfile, dirichlet_norm_sq, l2_norm_sq, tm_functional
 from .rearrangement import WeightedSamples, decreasing_rearrangement
-from .sequences import SequenceSpec, oracle_rows, zygmund_optimal
+from .sequences import FAMILIES, SequenceSpec, oracle_rows, zygmund_optimal
 
 _4PI = 4.0 * math.pi
 
@@ -160,31 +160,16 @@ def _emit(ns, payload, rows=None) -> None:
         sys.stderr.write(manifest)
 
 
-_FAMILY_FLAGS = {
-    "moser": ("n",),
-    "counterexample": ("n",),
-    "modified-moser": ("n",),
-    "cap": ("k",),
-    "zygmund": ("k",),
-    "alvino": ("T", "delta"),
-}
-
-
 def _family_profile(ns) -> RadialProfile:
-    fam = ns.family
-    needed = _FAMILY_FLAGS[fam]
-    for flag in needed:
-        if getattr(ns, flag) is None:
-            raise ValueError("family %s requires --%s" % (fam, flag))
-    if fam in ("moser", "counterexample", "modified-moser"):
-        params = {"n": ns.n}
-    elif fam == "cap":
-        params = {"k": ns.k, "r": ns.R if ns.R is not None else 1.0}
-    elif fam == "zygmund":
-        params = {"k": ns.k}
-    else:
-        params = {"t_support": ns.T, "delta": ns.delta}
-    return SequenceSpec(fam, params).build()
+    params = {}
+    for name, flag, default in FAMILIES[ns.family].params:
+        value = getattr(ns, flag)
+        if value is None:
+            value = default
+        if value is None:
+            raise ValueError("family %s requires --%s" % (ns.family, flag))
+        params[name] = value
+    return SequenceSpec(ns.family, params).build()
 
 
 def _load_profile(ns) -> RadialProfile:
@@ -280,18 +265,14 @@ def cmd_verify(ns) -> int:
     elif kind == "adachi":
         if ns.beta is None:
             raise ValueError("--beta is required for the adachi check")
-        lhs = adachi_ratio(p, ns.beta, ns.tol)
-        rhs = at_quadratic_bound(ns.beta)
-        slack = rhs - lhs
-        report = InequalityReport(lhs, rhs, slack, slack >= -1e-9 * max(1.0, abs(rhs)))
+        report = InequalityReport.from_sides(
+            adachi_ratio(p, ns.beta, ns.tol), at_quadratic_bound(ns.beta)
+        )
     else:
         if ns.lam is None:
             raise ValueError("--lambda is required for the zcharact check")
         lhs, witness = zygmund_quasinorm(p)
-        rhs = zcharact_bound(p, ns.lam, ns.tol)
-        slack = rhs - lhs
-        holds = slack >= -1e-9 * max(1.0, abs(rhs))
-        report = InequalityReport(lhs, rhs, slack, holds, witness=witness)
+        report = InequalityReport.from_sides(lhs, zcharact_bound(p, ns.lam, ns.tol), witness)
     payload = {"inequality": kind}
     payload.update(report.to_dict())
     _emit(ns, payload)
@@ -392,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_src.add_argument("--profile", default=None, help="profile json file")
     profile_src.add_argument(
         "--family",
-        choices=sorted(_FAMILY_FLAGS),
+        choices=sorted(FAMILIES),
         default=None,
         help="named sequence family instead of --profile",
     )

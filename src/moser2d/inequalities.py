@@ -3,8 +3,9 @@
 Window ratios like (u*(t) - u*(T)) / sqrt(log(T/t)) restrict to each
 linear piece of the profile as (A + m sig)/sqrt(sig) in sig = log(T/t),
 whose extrema are available in closed form, so equality cases come out
-exact instead of grid-limited.  The "holds" verdict allows quadrature
-noise: slack >= -1e-9 max(1, |rhs|).
+exact instead of grid-limited.  Every "holds" verdict, the CLI's
+included, comes from InequalityReport.from_sides, the one place that
+states how much quadrature noise it allows.
 """
 
 from __future__ import annotations
@@ -60,14 +61,17 @@ class InequalityReport:
             "witness": w,
         }
 
-
-def _verdict(lhs: float, rhs: float):
-    if math.isinf(rhs):
-        return (0.0 if math.isinf(lhs) else math.inf), True
-    if math.isinf(lhs):
-        return -math.inf, False
-    slack = rhs - lhs
-    return slack, bool(slack >= -_HOLDS_TOL * max(1.0, abs(rhs)))
+    @classmethod
+    def from_sides(cls, lhs: float, rhs: float, witness=None) -> "InequalityReport":
+        """Verdict on lhs <= rhs, allowing slack >= -1e-9 max(1, |rhs|)."""
+        if math.isinf(rhs):
+            slack, holds = (0.0 if math.isinf(lhs) else math.inf), True
+        elif math.isinf(lhs):
+            slack, holds = -math.inf, False
+        else:
+            slack = rhs - lhs
+            holds = bool(slack >= -_HOLDS_TOL * max(1.0, abs(rhs)))
+        return cls(lhs, rhs, slack, holds, witness)
 
 
 def _window_pieces(p: RadialProfile, t_win: float):
@@ -142,10 +146,8 @@ def alvino_ratio_sup(p: RadialProfile, t_win: float) -> InequalityReport:
             if math.isfinite(sr) and sr > 0.0:
                 consider(sr, ul + m * (sr - sl) - u_t)
     if infinite:
-        slack, holds = _verdict(math.inf, rhs)
-        return InequalityReport(math.inf, rhs, slack, holds, witness=t_win)
-    slack, holds = _verdict(best, rhs)
-    return InequalityReport(best, rhs, slack, holds, witness=t_win * math.exp(-best_sig))
+        return InequalityReport.from_sides(math.inf, rhs, t_win)
+    return InequalityReport.from_sides(best, rhs, t_win * math.exp(-best_sig))
 
 
 def zygmund_quasinorm(p: RadialProfile):
@@ -204,8 +206,7 @@ def check_limine(p: RadialProfile) -> InequalityReport:
     lhs, witness = zygmund_quasinorm(p)
     sob = dirichlet_norm_sq(p) + l2_norm_sq(p)
     rhs = math.sqrt(sob / _4PI) if math.isfinite(sob) else math.inf
-    slack, holds = _verdict(lhs, rhs)
-    return InequalityReport(lhs, rhs, slack, holds, witness=witness)
+    return InequalityReport.from_sides(lhs, rhs, witness)
 
 
 def adachi_ratio(p: RadialProfile, beta: float, tol: float = 1e-10) -> float:

@@ -16,11 +16,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .inequalities import remainder_functional
 from .profile import (
     RadialProfile,
+    _dirichlet_sq,
+    _l2_sq,
     dirichlet_norm_sq,
     l2_norm_sq,
     scale_amplitude,
@@ -144,27 +145,13 @@ def _isotonic(y: np.ndarray) -> np.ndarray:
     return np.repeat(vals, counts)
 
 
-def _norms(t: float, s: np.ndarray, v: np.ndarray):
-    # search iterates keep s strictly increasing and v[0] = 0
-    ds = np.diff(s)
-    dv = np.diff(v)
-    dir_sq = _4PI * float(np.sum(dv * dv / ds))
-    p0 = v[:-1]
-    m = dv / ds
-    p1 = -np.expm1(-ds)
-    p2 = gammainc(2.0, ds)
-    p3 = 2.0 * gammainc(3.0, ds)
-    acc = float(np.sum(np.exp(-s[:-1]) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)))
-    l2_sq = t * (acc + float(v[-1]) ** 2 * math.exp(-float(s[-1])))
-    return dir_sq, l2_sq
-
-
 def _project(c: ConstraintSet, t: float, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = _isotonic(v)
     np.maximum(v, 0.0, out=v)
     v[0] = 0.0
-    dir_sq, l2_sq = _norms(t, s, v)
-    a = c.amplitude_cap(dir_sq, l2_sq)
+    # search iterates keep s strictly increasing: no jumps, every piece linear
+    ds, dv = np.diff(s), np.diff(v)
+    a = c.amplitude_cap(_dirichlet_sq(ds, dv), _l2_sq(t, s, v, ds, dv))
     if a < 1.0:
         v = v * a
     return v
@@ -193,9 +180,8 @@ def _plateau_start(c: ConstraintSet, h: float) -> RadialProfile:
     return RadialProfile(t, [0.0, 1.0], [0.0, h])
 
 
-def family_starts(constraint: ConstraintSet, beta: float, n_knots: int = 32):
+def family_starts(constraint: ConstraintSet):
     """Labeled seed profiles: caps, truncated logs, near-vanishing ramps."""
-    del beta, n_knots
     out = []
     for k in (1.0, 2.0, 4.0, 8.0, 16.0):
         for r in (0.5, 2.0, 8.0):
@@ -250,7 +236,7 @@ def maximize(
         return value
 
     states = []
-    for label, prof in family_starts(constraint, beta, n_knots):
+    for label, prof in family_starts(constraint):
         if evals >= budget:
             break
         t, s, v = _resample(prof, n_knots)

@@ -209,6 +209,22 @@ class FunctionalReport:
         }
 
 
+def _dirichlet_sq(ds, dv) -> float:
+    """4 pi sum (dv)^2 / ds over pieces of positive length ds."""
+    return float(_4PI * np.sum(dv * dv / ds))
+
+
+def _l2_sq(t, s, v, ds, dv, lin=None) -> float:
+    """T int U(s)^2 e^{-s} ds from segment_moments; lin drops zero-length pieces."""
+    a, p0 = s[:-1], v[:-1]
+    if lin is not None:
+        a, p0, ds, dv = a[lin], p0[lin], ds[lin], dv[lin]
+    m = dv / ds
+    p1, p2, p3 = segment_moments(ds, 2)
+    acc = float(np.sum(np.exp(-a) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)))
+    return t * (acc + float(v[-1]) ** 2 * math.exp(-float(s[-1])))
+
+
 def dirichlet_norm_sq(p: RadialProfile) -> float:
     """Exact Dirichlet seminorm squared, 4 pi sum (dv)^2 / ds.
 
@@ -216,38 +232,18 @@ def dirichlet_norm_sq(p: RadialProfile) -> float:
     H^1: the result is inf for them.
     """
     s, v = p.s, p.v
-    if v[0] > 0.0:
-        return math.inf
     ds = np.diff(s)
-    dv = np.diff(v)
-    if np.any((ds == 0.0) & (dv > 0.0)):
+    # a zero-length piece is a jump: knots never repeat without one
+    if v[0] > 0.0 or not ds.all():
         return math.inf
-    lin = ds > 0.0
-    if not np.any(lin):
-        return 0.0
-    return float(_4PI * np.sum(dv[lin] ** 2 / ds[lin]))
+    return _dirichlet_sq(ds, np.diff(v))
 
 
 def l2_norm_sq(p: RadialProfile) -> float:
-    """T int U(s)^2 e^{-s} ds in closed form (no quadrature).
-
-    Per segment the integrand is (polynomial) * e^{-s}, integrated with
-    the moments int_0^L x^k e^{-x} dx of segment_moments.
-    """
+    """T int U(s)^2 e^{-s} ds in closed form (no quadrature); jumps add nothing."""
     s, v = p.s, p.v
     ds = np.diff(s)
-    dv = np.diff(v)
-    seg = ds > 0.0
-    acc = 0.0
-    if np.any(seg):
-        a = s[:-1][seg]
-        ln = ds[seg]
-        p0 = v[:-1][seg]
-        m = dv[seg] / ln
-        p1, p2, p3 = segment_moments(ln, 2)
-        acc = float(np.sum(np.exp(-a) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)))
-    tail = float(v[-1]) ** 2 * math.exp(-float(s[-1]))
-    return p.t_support * (acc + tail)
+    return _l2_sq(p.t_support, s, v, ds, np.diff(v), None if ds.all() else ds > 0.0)
 
 
 def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> FunctionalReport:

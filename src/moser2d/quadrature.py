@@ -69,8 +69,12 @@ def segment_moments(length, k: int):
     P is the regularized lower incomplete gamma function: no moment cancels.
     """
     length = np.asarray(length, dtype=float)
-    rest = [math.factorial(j) * gammainc(j + 1.0, length) for j in range(1, k + 1)]
-    return [-np.expm1(-length)] + rest
+    moments = [-np.expm1(-length)]
+    for j in range(1, k + 1):
+        p = gammainc(j + 1.0, length)
+        # 1! = 1: skip a multiply the norm kernels pay on every call
+        moments.append(math.factorial(j) * p if j > 1 else p)
+    return moments
 
 
 def _g_scaled(w, remainder):

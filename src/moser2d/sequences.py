@@ -1,18 +1,26 @@
 """Named extremal and counterexample families with closed-form oracles.
 
-Each constructor returns a RadialProfile; the companion *_oracles
-functions return the exact norm values those profiles must reproduce, so
-a single table drives both the test suite and the CLI oracle command.
+The Moser sequence, the Alvino extremals and the Zygmund-optimal caps are
+one truncated logarithm: a rise in s = log(T/t) from 0 to sqrt(k/(4 pi))
+over [0, k], then a plateau, with unit Dirichlet energy.  _cap builds it
+and _cap_l2_sq gives its L2 norm; the counterexample and modified-Moser
+families rescale it.  FAMILIES is the one table of families, naming each
+one's builder, parameters and closed-form norms, so a single table drives
+SequenceSpec, the test suite and the CLI.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
+
+from scipy.special import gammainc
 
 from .profile import RadialProfile, l2_norm_sq, scale_amplitude, scale_dilate
 
 __all__ = [
+    "FAMILIES",
     "SequenceSpec",
     "moser",
     "counterexample",
@@ -34,6 +42,16 @@ _2PI = 2.0 * math.pi
 _4PI = 4.0 * math.pi
 
 
+def _cap(t_support: float, k: float) -> RadialProfile:
+    """Rise from 0 to sqrt(k/(4 pi)) over s in [0, k], then a plateau."""
+    return RadialProfile(t_support, [0.0, k], [0.0, math.sqrt(k / _4PI)])
+
+
+def _cap_l2_sq(t_support: float, k: float) -> float:
+    """||_cap(t_support, k)||_2^2 = T P(2, k)/(2 pi k); P does not cancel as k -> 0."""
+    return t_support * float(gammainc(2.0, k)) / (_2PI * k)
+
+
 def moser(n: int) -> RadialProfile:
     """Unit-ball concentration profile with unit Dirichlet energy.
 
@@ -42,28 +60,23 @@ def moser(n: int) -> RadialProfile:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    ln = math.log(n)
-    top = math.sqrt(ln / _2PI)
-    return RadialProfile(math.pi, [0.0, 2.0 * ln], [0.0, top])
+    return _cap(math.pi, 2.0 * math.log(n))
+
+
+def moser_l2_sq(n) -> float:
+    return _cap_l2_sq(math.pi, 2.0 * math.log(n))
 
 
 def _sq(n) -> float:
     """n^2 as a float, inf where it overflows (n > ~1.3e154).
 
-    Every closed form below divides by it, and once n^2 overflows
-    1/n^2 < 6e-309 no longer moves the terms it is added to.
+    Once n^2 overflows, 1/n^2 < 6e-309 no longer moves the terms it is
+    added to.
     """
     try:
         return float(n) ** 2
     except OverflowError:
         return math.inf
-
-
-def moser_l2_sq(n) -> float:
-    # (1/log n)(1/4 - 1/(4 n^2) - log n/(2 n^2))
-    ln = math.log(n)
-    nn = _sq(n)
-    return (0.25 - 0.25 / nn - ln / (2.0 * nn)) / ln
 
 
 def counterexample_scales(n) -> tuple:
@@ -111,13 +124,11 @@ def cap(k: float, r: float) -> RadialProfile:
         raise ValueError("k must be >= 1")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError("r must be positive")
-    return RadialProfile(math.pi * r * r, [0.0, k], [0.0, math.sqrt(k / _4PI)])
+    return _cap(math.pi * r * r, k)
 
 
 def cap_l2_sq(k, r=1.0) -> float:
-    k = float(k)
-    ek = math.exp(-k)
-    return r * r * 0.5 * (1.0 / k - ek - ek / k)
+    return _cap_l2_sq(math.pi * r * r, float(k))
 
 
 def zygmund_optimal(k: float) -> RadialProfile:
@@ -137,14 +148,11 @@ def alvino_extremal(t_support: float, delta: float) -> RadialProfile:
         raise ValueError("t_support must be positive")
     if not (d > 1.0 and math.isfinite(d)):
         raise ValueError("delta must exceed 1")
-    k = 2.0 * math.log(d)
-    return RadialProfile(t, [0.0, k], [0.0, math.sqrt(k / _4PI)])
+    return _cap(t, 2.0 * math.log(d))
 
 
 def alvino_l2_sq(t_support, delta) -> float:
-    d = math.log(delta)
-    e2 = math.exp(-2.0 * d)
-    return (t_support / _4PI) * (1.0 / d - 2.0 * e2 - e2 / d)
+    return _cap_l2_sq(t_support, 2.0 * math.log(delta))
 
 
 def modified_moser(n: int) -> RadialProfile:
@@ -164,6 +172,41 @@ def modified_moser_norms(n) -> dict:
     }
 
 
+def _counterexample_norms(n):
+    _, lam = counterexample_scales(n)
+    return lam * lam, counterexample_l2_sq(n)
+
+
+def _modified_moser_norms(n):
+    norms = modified_moser_norms(n)
+    return norms["dirichlet_sq"], norms["l2_sq"]
+
+
+class Family(NamedTuple):
+    # params: (name, CLI flag, CLI default or None if required) in argument
+    # order; norms(*args) is (dirichlet_sq, l2_sq)
+    builder: Callable
+    params: tuple
+    norms: Callable
+
+
+_N = (("n", "n", None),)
+_K = ("k", "k", None)
+
+FAMILIES = {
+    "moser": Family(moser, _N, lambda n: (1.0, moser_l2_sq(n))),
+    "counterexample": Family(counterexample, _N, _counterexample_norms),
+    "modified-moser": Family(modified_moser, _N, _modified_moser_norms),
+    "cap": Family(cap, (_K, ("r", "R", 1.0)), lambda k, r: (1.0, cap_l2_sq(k, r))),
+    "zygmund": Family(zygmund_optimal, (_K,), lambda k: (1.0, cap_l2_sq(k))),
+    "alvino": Family(
+        alvino_extremal,
+        (("t_support", "T", None), ("delta", "delta", None)),
+        lambda t, d: (1.0, alvino_l2_sq(t, d)),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """A family name plus parameters, with its oracle table attached."""
@@ -171,46 +214,24 @@ class SequenceSpec:
     family: str
     params: dict = field(default_factory=dict)
 
-    _BUILDERS = {
-        "moser": (moser, ("n",)),
-        "counterexample": (counterexample, ("n",)),
-        "alvino": (alvino_extremal, ("t_support", "delta")),
-        "cap": (cap, ("k", "r")),
-        "zygmund": (zygmund_optimal, ("k",)),
-        "modified-moser": (modified_moser, ("n",)),
-    }
-
     def __post_init__(self):
-        if self.family not in self._BUILDERS:
+        if self.family not in FAMILIES:
             raise ValueError("unknown family %r" % (self.family,))
-        _, names = self._BUILDERS[self.family]
+        names = [name for name, _, _ in FAMILIES[self.family].params]
         missing = [a for a in names if a not in self.params]
         if missing:
             raise ValueError("family %s needs parameters %s" % (self.family, missing))
 
+    def _args(self) -> list:
+        return [self.params[name] for name, _, _ in FAMILIES[self.family].params]
+
     def build(self) -> RadialProfile:
-        fn, names = self._BUILDERS[self.family]
-        return fn(*(self.params[a] for a in names))
+        return FAMILIES[self.family].builder(*self._args())
 
     def oracle_values(self) -> dict:
         """Quantity -> exact closed-form value for this family member."""
-        f, p = self.family, self.params
-        if f == "moser":
-            return {"dirichlet_sq": 1.0, "l2_sq": moser_l2_sq(p["n"])}
-        if f == "counterexample":
-            _, lam = counterexample_scales(p["n"])
-            return {"dirichlet_sq": lam * lam, "l2_sq": counterexample_l2_sq(p["n"])}
-        if f == "alvino":
-            return {
-                "dirichlet_sq": 1.0,
-                "l2_sq": alvino_l2_sq(p["t_support"], p["delta"]),
-            }
-        if f == "cap":
-            return {"dirichlet_sq": 1.0, "l2_sq": cap_l2_sq(p["k"], p["r"])}
-        if f == "zygmund":
-            return {"dirichlet_sq": 1.0, "l2_sq": cap_l2_sq(p["k"], 1.0)}
-        norms = modified_moser_norms(p["n"])
-        return {"dirichlet_sq": norms["dirichlet_sq"], "l2_sq": norms["l2_sq"]}
+        dirichlet_sq, l2_sq = FAMILIES[self.family].norms(*self._args())
+        return {"dirichlet_sq": dirichlet_sq, "l2_sq": l2_sq}
 
 
 def oracle_rows():

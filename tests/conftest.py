@@ -17,11 +17,21 @@ from scipy.special import dawsn
 from moser2d import RadialProfile
 
 
+def expm1_minus_x(x: float) -> float:
+    # e^x - 1 - x; below |x| = 0.5 as the Taylor sum x^2/2! + x^3/3! + ...,
+    # since expm1(x) - x cancels there
+    if abs(x) >= 0.5:
+        return math.expm1(x) - x
+    term, total, j = x * x / 2.0, 0.0, 2
+    while total + term != total:
+        total += term
+        j += 1
+        term *= x / j
+    return total
+
+
 def brute_j(p: RadialProfile, beta: float, kind: str = "expm1") -> float:
-    if kind == "expm1":
-        g = math.expm1
-    else:
-        g = lambda x: math.expm1(x) - x
+    g = math.expm1 if kind == "expm1" else expm1_minus_x
     s, v = p.s, p.v
     total = 0.0
     for i in range(len(s) - 1):

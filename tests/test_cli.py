@@ -8,7 +8,13 @@ import sys
 
 import numpy as np
 
-from moser2d import RadialProfile, blowup_scan, tm_functional, moser
+import pytest
+
+from moser2d import RadialProfile, SequenceSpec, blowup_scan, cap_l2_sq, moser, tm_functional
+from moser2d.cli import build_parser
+from moser2d.sequences import FAMILIES
+
+from conftest import rel_err
 
 
 def run_cli(*args):
@@ -45,6 +51,39 @@ def test_eval_matches_api():
     assert manifest["seed"] == 0
     assert manifest["argv"][0] == "eval"
     assert "numpy" in manifest
+
+
+# one member of each family, given through its CLI flags
+_MEMBER_FLAGS = {
+    "moser": {"n": 100},
+    "counterexample": {"n": 1000},
+    "modified-moser": {"n": 100},
+    "cap": {"k": 4.0, "R": 2.0},
+    "zygmund": {"k": 8.0},
+    "alvino": {"T": 10.0, "delta": 54.598},
+}
+
+
+def test_family_table_drives_the_cli():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    family = next(a for a in subparsers.choices["eval"]._actions if a.dest == "family")
+    assert list(family.choices) == sorted(FAMILIES)
+    assert set(_MEMBER_FLAGS) == set(FAMILIES)
+    for name, flags in _MEMBER_FLAGS.items():
+        args = ["eval", "--family", name, "--beta", "2pi"]
+        for flag, value in flags.items():
+            args += ["--" + flag, str(value)]
+        res = run_cli(*args)
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        params = {p: flags[flag] for p, flag, _ in FAMILIES[name].params}
+        oracle = SequenceSpec(name, params).oracle_values()
+        assert rel_err(payload["dirichlet_sq"], oracle["dirichlet_sq"]) < 1e-12
+        assert rel_err(payload["l2_sq"], oracle["l2_sq"]) < 1e-12
+    # cap's --R defaults to 1
+    res = run_cli("eval", "--family", "cap", "--k", "4", "--beta", "2pi")
+    assert json.loads(res.stdout)["l2_sq"] == pytest.approx(cap_l2_sq(4.0), rel=1e-12)
 
 
 def test_eval_requires_family_params():

@@ -80,7 +80,7 @@ def _capped(c, p):
 
 def test_family_starts_are_labeled_and_cappable():
     c = ConstraintSet("reduced", delta=0.0, K=1.0)
-    starts = family_starts(c, beta=2.0 * math.pi)
+    starts = family_starts(c)
     labels = [label for label, _ in starts]
     assert len(labels) == len(set(labels))
     assert len(starts) >= 20
@@ -122,7 +122,7 @@ def test_maximize_small_run_contract():
     # never below any family-seeded start after budget capping
     floor = max(
         tm_functional(_capped(c, p), beta, tol=1e-8).j_beta
-        for _, p in family_starts(c, beta, 16)
+        for _, p in family_starts(c)
     )
     assert res.best_value >= floor * (1.0 - 1e-5)
     # the reported value re-evaluates to itself

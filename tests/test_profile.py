@@ -39,7 +39,7 @@ _BETAS = st.floats(0.3, 4.0 * PI)
 def _profiles(draw):
     # nondecreasing piecewise-linear profiles with rises, constant pieces and
     # an optional positive edge value; beta U^2 stays below a few hundred,
-    # and above 3e-5 at the top, where brute_j's expm1(w) - w still holds
+    # and above 3e-5 at the top
     n = draw(st.integers(1, 6))
     ds = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
     dv = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 0.8)), min_size=n, max_size=n))
@@ -260,14 +260,23 @@ def _nearly_flat_phi():
 def test_closed_form_regimes_match_brute_quadrature(p):
     beta = 4.0 * PI
     assert rel_err(_j(p, beta), brute_j(p, beta)) < 1e-12
-    if p.v[-1] > 1e-3:
-        # at w ~ 1e-8 brute_j's expm1(w) - w loses 8 digits itself
-        assert rel_err(_j(p, beta, "remainder"), brute_j(p, beta, "remainder")) < 1e-12
+    assert rel_err(_j(p, beta, "remainder"), brute_j(p, beta, "remainder")) < 1e-12
+
+
+def test_brute_j_remainder_does_not_cancel():
+    # the oracle itself at w = 1e-14, where expm1(w) - w is 1% off
+    import mpmath as mp
+
+    p = RadialProfile(1.0, [0.0, 1.0], [1e-7, 1e-7])
+    with mp.workdps(50):
+        w = mp.mpf(1e-7) ** 2
+        want = float(mp.expm1(w) - w)
+    assert rel_err(brute_j(p, 1.0, "remainder"), want) < 1e-12
 
 
 def test_small_w_remainder_keeps_precision():
-    # the small-w profile's remainder against 40-digit quadrature, since
-    # brute_j's expm1(w) - w cancels there
+    # the small-w profile's remainder against 40-digit quadrature, a check
+    # that shares no code with brute_j
     import mpmath as mp
 
     p = RadialProfile(3.0, [0.0, 2.0, 5.0], [0.0, 1e-5, 3e-5])

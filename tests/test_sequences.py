@@ -108,6 +108,22 @@ def test_cap_norms():
             assert rel_err(brute_l2(p), cap_l2_sq(k, r)) < 1e-10
 
 
+def test_cap_l2_closed_forms_do_not_cancel():
+    # T P(2, k)/(2 pi k) against 50 digits; as delta -> 1 the truncated
+    # logarithm flattens (k = 2 log delta -> 0) and 1/k - 2 e^-k - e^-k/k
+    # used to cancel, to 5e-5 relative at delta = 1 + 1e-6
+    import mpmath as mp
+
+    def exact(t, k):
+        return t * mp.gammainc(2, 0, k, regularized=True) / (2 * mp.pi * k)
+
+    with mp.workdps(50):
+        for d in (1.0 + 1e-6, 1.0001, 1.01):
+            want = exact(10, 2 * mp.log(mp.mpf(d)))
+            assert rel_err(alvino_l2_sq(10.0, d), float(want)) < 1e-14
+        assert rel_err(cap_l2_sq(1.0), float(exact(mp.pi, 1))) < 1e-14
+
+
 def test_zygmund_optimal_is_unit_radius_cap():
     for k in (1.0, 7.5, 64.0):
         z = zygmund_optimal(k)
