@@ -132,10 +132,12 @@ class OptimizationResult:
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators with unit weights: nondecreasing output."""
+    if (y[1:] >= y[:-1]).all():
+        return y.astype(float)
     vals = []
     counts = []
-    for x in y:
-        vals.append(float(x))
+    for x in y.tolist():
+        vals.append(x)
         counts.append(1)
         while len(vals) > 1 and vals[-2] > vals[-1]:
             c = counts.pop()
@@ -149,9 +151,8 @@ def _project(c: ConstraintSet, t: float, s: np.ndarray, v: np.ndarray) -> np.nda
     v = _isotonic(v)
     np.maximum(v, 0.0, out=v)
     v[0] = 0.0
-    # search iterates keep s strictly increasing: no jumps, every piece linear
-    ds, dv = np.diff(s), np.diff(v)
-    a = c.amplitude_cap(_dirichlet_sq(ds, dv), _l2_sq(t, s, v, ds, dv))
+    ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
+    a = c.amplitude_cap(_dirichlet_sq(v, ds, dv), _l2_sq(t, s, v, ds, dv))
     if a < 1.0:
         v = v * a
     return v

@@ -38,7 +38,20 @@ _4PI = 4.0 * math.pi
 
 
 class RadialProfile:
-    """Immutable piecewise-linear profile; see the module docstring."""
+    """Immutable piecewise-linear profile; see the module docstring.
+
+    The constructor copies the knots into read-only float arrays and
+    raises ValueError, checking in this order, unless:
+
+    - t_support is positive and finite;
+    - s and v are 1-d, of equal length and nonempty;
+    - every knot is finite;
+    - s_0 = 0;
+    - every v_i >= 0;
+    - s is nondecreasing, then v is nondecreasing;
+    - a repeated s carries a jump (no duplicate knot), and no three knots
+      share one s (no stacked jumps).
+    """
 
     __slots__ = ("_t_support", "_s", "_v")
 
@@ -50,23 +63,24 @@ class RadialProfile:
         v = np.array(v, dtype=float)
         if s.ndim != 1 or s.shape != v.shape or s.size == 0:
             raise ValueError("knot arrays must be equal-length 1-d and nonempty")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(s).all() and np.isfinite(v).all()):
             raise ValueError("knots must be finite")
         if s[0] != 0.0:
             raise ValueError("first knot must sit at s = 0")
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise ValueError("knot values must be nonnegative")
-        ds = np.diff(s)
-        dv = np.diff(v)
-        if np.any(ds < 0.0):
+        ds = s[1:] - s[:-1]
+        dv = v[1:] - v[:-1]
+        if (ds < 0.0).any():
             raise ValueError("s must be nondecreasing")
-        if np.any(dv < 0.0):
+        if (dv < 0.0).any():
             raise ValueError("v must be nondecreasing (profiles are rearrangements)")
-        dup = ds == 0.0
-        if np.any(dup & (dv == 0.0)):
-            raise ValueError("duplicate knot (zero-length segment with no jump)")
-        if np.any(dup[:-1] & dup[1:]):
-            raise ValueError("stacked jumps: at most two knots may share one s")
+        if not ds.all():
+            dup = ds == 0.0
+            if (dup & (dv == 0.0)).any():
+                raise ValueError("duplicate knot (zero-length segment with no jump)")
+            if (dup[:-1] & dup[1:]).any():
+                raise ValueError("stacked jumps: at most two knots may share one s")
         s.setflags(write=False)
         v.setflags(write=False)
         self._t_support = t
@@ -170,8 +184,8 @@ class RadialProfile:
         return (
             self._t_support == other._t_support
             and self._s.shape == other._s.shape
-            and bool(np.all(self._s == other._s))
-            and bool(np.all(self._v == other._v))
+            and bool((self._s == other._s).all())
+            and bool((self._v == other._v).all())
         )
 
     def __repr__(self) -> str:
@@ -209,19 +223,23 @@ class FunctionalReport:
         }
 
 
-def _dirichlet_sq(ds, dv) -> float:
-    """4 pi sum (dv)^2 / ds over pieces of positive length ds."""
-    return float(_4PI * np.sum(dv * dv / ds))
+def _dirichlet_sq(v, ds, dv) -> float:
+    """4 pi sum (dv)^2 / ds; inf at a jump (a zero-length piece or v_0 > 0)."""
+    # a zero-length piece is a jump: knots never repeat without one
+    if v[0] > 0.0 or not ds.all():
+        return math.inf
+    return float(_4PI * (dv * dv / ds).sum())
 
 
-def _l2_sq(t, s, v, ds, dv, lin=None) -> float:
-    """T int U(s)^2 e^{-s} ds from segment_moments; lin drops zero-length pieces."""
+def _l2_sq(t, s, v, ds, dv) -> float:
+    """T int U(s)^2 e^{-s} ds from segment_moments; zero-length pieces add nothing."""
     a, p0 = s[:-1], v[:-1]
-    if lin is not None:
+    if not ds.all():
+        lin = ds > 0.0
         a, p0, ds, dv = a[lin], p0[lin], ds[lin], dv[lin]
     m = dv / ds
     p1, p2, p3 = segment_moments(ds, 2)
-    acc = float(np.sum(np.exp(-a) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)))
+    acc = float((np.exp(-a) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)).sum())
     return t * (acc + float(v[-1]) ** 2 * math.exp(-float(s[-1])))
 
 
@@ -232,18 +250,13 @@ def dirichlet_norm_sq(p: RadialProfile) -> float:
     H^1: the result is inf for them.
     """
     s, v = p.s, p.v
-    ds = np.diff(s)
-    # a zero-length piece is a jump: knots never repeat without one
-    if v[0] > 0.0 or not ds.all():
-        return math.inf
-    return _dirichlet_sq(ds, np.diff(v))
+    return _dirichlet_sq(v, s[1:] - s[:-1], v[1:] - v[:-1])
 
 
 def l2_norm_sq(p: RadialProfile) -> float:
     """T int U(s)^2 e^{-s} ds in closed form (no quadrature); jumps add nothing."""
     s, v = p.s, p.v
-    ds = np.diff(s)
-    return _l2_sq(p.t_support, s, v, ds, np.diff(v), None if ds.all() else ds > 0.0)
+    return _l2_sq(p.t_support, s, v, s[1:] - s[:-1], v[1:] - v[:-1])
 
 
 def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> FunctionalReport:
@@ -260,11 +273,13 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     tol = float(tol)
     if not (0.0 < tol <= 1e-6):
         raise ValueError("tol must lie in (0, 1e-6]")
-    dir_sq = dirichlet_norm_sq(p)
-    l2_sq = l2_norm_sq(p)
+    s, v = p.s, p.v
+    ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
+    dir_sq = _dirichlet_sq(v, ds, dv)
+    l2_sq = _l2_sq(p.t_support, s, v, ds, dv)
     if p.is_zero:
         return FunctionalReport(0.0, dir_sq, l2_sq, 0.0)
-    value, abs_err = profile_exp_integral(p.t_support, p.s, p.v, beta, tol, kind="expm1")
+    value, abs_err = profile_exp_integral(p.t_support, s, v, beta, tol, kind="expm1")
     rel = abs_err / value if value > 0.0 else 0.0
     return FunctionalReport(value, dir_sq, l2_sq, rel)
 
@@ -272,7 +287,7 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
 def _dedupe(s, v):
     # drop knots made redundant by rounding (jump collapsed to equality)
     keep = np.ones(s.size, dtype=bool)
-    keep[1:] = (np.diff(s) > 0.0) | (np.diff(v) > 0.0)
+    keep[1:] = (s[1:] > s[:-1]) | (v[1:] > v[:-1])
     return s[keep], v[keep]
 
 
@@ -285,7 +300,7 @@ def scale_amplitude(p: RadialProfile, a: float) -> RadialProfile:
         return p
     if a == 0.0:
         return RadialProfile.zero(p.t_support)
-    s, v = _dedupe(np.array(p.s), p.v * a)
+    s, v = _dedupe(p.s, p.v * a)
     return RadialProfile(p.t_support, s, v)
 
 
@@ -309,7 +324,7 @@ def insert_knot(p: RadialProfile, s_new: float) -> RadialProfile:
     if not (s_new >= 0.0 and math.isfinite(s_new)):
         raise ValueError("knot location must be nonnegative and finite")
     s, v = p.s, p.v
-    if np.any(s == s_new):
+    if (s == s_new).any():
         return p
     if s_new > s[-1]:
         s2 = np.append(s, s_new)

@@ -176,33 +176,38 @@ def profile_exp_integral(t_support, s, v, beta, tol, kind="expm1"):
     # constant segments and the plateau are closed form; jumps have no measure
     const = (ds > 0.0) & (dv == 0.0) & (v[:-1] > 0.0)
     if const.any():
-        idx = np.nonzero(const)[0]
+        idx = const.nonzero()[0]
         w = beta * v[idx] ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             lg = np.log(_g_scaled(w, remainder) * -np.expm1(-ds[idx]))
             lp = log_t - s[idx] + w + lg
             if (lp >= _LOG_MAX).any():
-                j = int(idx[int(np.argmax(lp))])
+                j = int(idx[lp.argmax()])
                 raise ValueOverflowError(j, s[j], v[j])
             piece = np.exp(lp)
-            err += _EPS * float(np.nansum(piece * (_TERM_ULPS + np.abs(log_t - s[idx]) + w - lg)))
+            # a piece whose g underflowed is 0 times inf: it adds no error
+            terms = piece * (_TERM_ULPS + np.abs(log_t - s[idx]) + w - lg)
+            terms[np.isnan(terms)] = 0.0
+            err += _EPS * float(terms.sum())
         total += float(piece.sum())
     w = beta * float(v[-1]) ** 2
     g = float(_g_scaled(w, remainder))
     if g > 0.0:
-        lp = log_t - float(s[-1]) + w + math.log(g)
+        lg = math.log(g)
+        lp = log_t - float(s[-1]) + w + lg
         if lp >= _LOG_MAX:
             raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
-        total += math.exp(lp)
-        err += _EPS * math.exp(lp) * (_TERM_ULPS + abs(log_t - float(s[-1])) + w - math.log(g))
+        piece = math.exp(lp)
+        total += piece
+        err += _EPS * piece * (_TERM_ULPS + abs(log_t - float(s[-1])) + w - lg)
 
     lin = (ds > 0.0) & (dv > 0.0)
     if lin.any():
-        idx = np.nonzero(lin)[0]
+        idx = lin.nonzero()[0]
         lp, le = _linear(log_t - s[idx], v[idx], dv[idx] / ds[idx], ds[idx], beta, tol, remainder)
         if (lp >= _LOG_MAX).any():
             # the exponent is convex along a piece: its right knot is to blame
-            j = int(idx[int(np.argmax(lp))]) + 1
+            j = int(idx[lp.argmax()]) + 1
             raise ValueOverflowError(j, s[j], v[j])
         total += float(np.exp(lp).sum())
         err += float(np.exp(np.minimum(le, _LOG_MAX)).sum())

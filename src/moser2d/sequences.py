@@ -52,19 +52,24 @@ def _cap_l2_sq(t_support: float, k: float) -> float:
     return t_support * float(gammainc(2.0, k)) / (_2PI * k)
 
 
+def _moser_args(n) -> tuple:
+    """(t_support, k) of moser(n); shared by the builder and its closed form."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return math.pi, 2.0 * math.log(n)
+
+
 def moser(n: int) -> RadialProfile:
     """Unit-ball concentration profile with unit Dirichlet energy.
 
     Linear rise over s in [0, 2 log n] up to sqrt(log n / (2 pi)), then a
     plateau; support measure pi.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return _cap(math.pi, 2.0 * math.log(n))
+    return _cap(*_moser_args(n))
 
 
 def moser_l2_sq(n) -> float:
-    return _cap_l2_sq(math.pi, 2.0 * math.log(n))
+    return _cap_l2_sq(*_moser_args(n))
 
 
 def _sq(n) -> float:
@@ -113,27 +118,47 @@ def counterexample_j_lower_bound(n) -> float:
     return math.pi * r * r * (1.0 / math.sqrt(ln) - 1.0 / _sq(n))
 
 
+def _cap_args(k, r) -> tuple:
+    """(t_support, k) of cap(k, r); shared by the builder and its closed form."""
+    k = float(k)
+    if not (k >= 1.0 and math.isfinite(k)):
+        raise ValueError("k must be >= 1")
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError("r must be positive")
+    t = math.pi * r * r
+    # pi r^2 can overflow or underflow: refuse it as RadialProfile would
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError("t_support must be positive and finite")
+    return t, k
+
+
 def cap(k: float, r: float) -> RadialProfile:
     """Normalized cap: rise s/sqrt(k) (times 1/sqrt(4 pi)) then plateau.
 
     k may be any real >= 1, the formulas are analytic in it.  Support is
     pi r^2 and the Dirichlet energy is 1 for every (k, r).
     """
-    k = float(k)
-    if not (k >= 1.0 and math.isfinite(k)):
-        raise ValueError("k must be >= 1")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("r must be positive")
-    return _cap(math.pi * r * r, k)
+    return _cap(*_cap_args(k, r))
 
 
 def cap_l2_sq(k, r=1.0) -> float:
-    return _cap_l2_sq(math.pi * r * r, float(k))
+    return _cap_l2_sq(*_cap_args(k, r))
 
 
 def zygmund_optimal(k: float) -> RadialProfile:
     """cap(k, 1): the family driving the window quasi-norm ratio to 1."""
     return cap(k, 1.0)
+
+
+def _alvino_args(t_support, delta) -> tuple:
+    """(t_support, k) of alvino_extremal; shared by the builder and its closed form."""
+    t = float(t_support)
+    d = float(delta)
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError("t_support must be positive")
+    if not (d > 1.0 and math.isfinite(d)):
+        raise ValueError("delta must exceed 1")
+    return t, 2.0 * math.log(d)
 
 
 def alvino_extremal(t_support: float, delta: float) -> RadialProfile:
@@ -142,17 +167,11 @@ def alvino_extremal(t_support: float, delta: float) -> RadialProfile:
     Rises linearly over s in [0, 2 log delta] to sqrt(log delta / (2 pi))
     with unit Dirichlet energy, on prescribed support measure.
     """
-    t = float(t_support)
-    d = float(delta)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError("t_support must be positive")
-    if not (d > 1.0 and math.isfinite(d)):
-        raise ValueError("delta must exceed 1")
-    return _cap(t, 2.0 * math.log(d))
+    return _cap(*_alvino_args(t_support, delta))
 
 
 def alvino_l2_sq(t_support, delta) -> float:
-    return _cap_l2_sq(t_support, 2.0 * math.log(delta))
+    return _cap_l2_sq(*_alvino_args(t_support, delta))
 
 
 def modified_moser(n: int) -> RadialProfile:

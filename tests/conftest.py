@@ -105,6 +105,37 @@ def counterexample_j_oracle(n: int) -> float:
     return t_sup * (rise - 1.0 + 1.0 / math.sqrt(big_l))
 
 
+def reference_knot_error(t_support, s, v):
+    # RadialProfile's checks in their original order and form (np.diff, the
+    # np.all/np.any wrappers, masks always built): None when the input is
+    # accepted, else the message of the ValueError it must raise
+    t = float(t_support)
+    if not (math.isfinite(t) and t > 0.0):
+        return "t_support must be positive and finite"
+    s = np.array(s, dtype=float)
+    v = np.array(v, dtype=float)
+    if s.ndim != 1 or s.shape != v.shape or s.size == 0:
+        return "knot arrays must be equal-length 1-d and nonempty"
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+        return "knots must be finite"
+    if s[0] != 0.0:
+        return "first knot must sit at s = 0"
+    if np.any(v < 0.0):
+        return "knot values must be nonnegative"
+    ds = np.diff(s)
+    dv = np.diff(v)
+    if np.any(ds < 0.0):
+        return "s must be nondecreasing"
+    if np.any(dv < 0.0):
+        return "v must be nondecreasing (profiles are rearrangements)"
+    dup = ds == 0.0
+    if np.any(dup & (dv == 0.0)):
+        return "duplicate knot (zero-length segment with no jump)"
+    if np.any(dup[:-1] & dup[1:]):
+        return "stacked jumps: at most two knots may share one s"
+    return None
+
+
 def random_profile(rng, allow_jumps: bool = True, max_extra: int = 7) -> RadialProfile:
     t_sup = float(np.exp(rng.uniform(-3.0, 6.0)))
     s = [0.0]

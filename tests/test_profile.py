@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moser2d import (
     RadialProfile,
@@ -25,6 +25,7 @@ from conftest import (
     moser_j_oracle,
     random_profile,
     random_smooth_profile,
+    reference_knot_error,
     rel_err,
 )
 
@@ -78,6 +79,66 @@ def test_construction_rejects_bad_inputs():
         RadialProfile(1.0, [0.0, 1.0], [0.0])  # length mismatch
 
 
+@st.composite
+def _knot_inputs(draw):
+    # knots that are mostly valid, with repeated s (jumps, duplicates,
+    # stacked jumps) common; then at most one corruption: a special value
+    # at one index, a reversed array, or a bad shape
+    n = draw(st.integers(1, 6))
+    s_step = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 2.0))
+    v_step = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    s = np.cumsum([0.0] + draw(st.lists(s_step, min_size=n - 1, max_size=n - 1))).tolist()
+    v0 = draw(st.sampled_from([0.0, 0.0, 0.3]))
+    v = (v0 + np.cumsum([0.0] + draw(st.lists(v_step, min_size=n - 1, max_size=n - 1)))).tolist()
+    bad_t = st.sampled_from([0.0, -1.0, math.inf, math.nan])
+    t = draw(st.floats(1e-300, 1e300) if draw(st.integers(0, 7)) else bad_t)
+    how = draw(st.sampled_from(["none", "none", "value", "value", "reverse", "shape"]))
+    if how == "value":
+        knots = draw(st.sampled_from([s, v]))
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0]
+        knots[draw(st.integers(0, n - 1))] = draw(
+            st.one_of(st.sampled_from(special), st.floats(-2.0, 4.0))
+        )
+    elif how == "reverse":
+        draw(st.sampled_from([s, v])).reverse()
+    elif how == "shape":
+        shape = draw(st.sampled_from(["2d", "short", "empty"]))
+        if shape == "2d":
+            s, v = [s], [v]
+        elif shape == "short":
+            v = v[:-1]
+        else:
+            s, v = [], []
+    return t, s, v
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_knot_inputs())
+@example((1.0, [0.0, math.nan, 2.0], [0.0, 0.5, 1.0]))
+@example((1.0, [0.0, 1.0, math.inf], [0.0, 0.5, 1.0]))
+@example((1.0, [0.0, 1.0, 2.0], [0.0, 0.5, -math.inf]))
+@example((1.0, [-0.0, 1.0], [0.0, 0.5]))
+@example((1.0, [0.0, 1.0], [0.0, -0.5]))
+@example((1.0, [0.0, 1.0, 1.0], [0.0, 0.5, 0.5]))
+@example((1.0, [0.0, 1.0, 1.0, 1.0], [0.0, 0.5, 0.7, 0.9]))
+@example((1.0, [[0.0, 1.0]], [[0.0, 0.5]]))
+@example((1.0, [], []))
+def test_construction_matches_reference_checks(knots):
+    # the constructor accepts exactly what the reference checks accept, keeps
+    # the knots bit for bit, and otherwise raises the reference's message
+    t, s, v = knots
+    want = reference_knot_error(t, s, v)
+    if want is None:
+        p = RadialProfile(t, s, v)
+        assert p.t_support == float(t)
+        assert p.s.tobytes() == np.array(s, dtype=float).tobytes()
+        assert p.v.tobytes() == np.array(v, dtype=float).tobytes()
+    else:
+        with pytest.raises(ValueError) as exc:
+            RadialProfile(t, s, v)
+        assert str(exc.value) == want
+
+
 def test_value_at_basics():
     p = RadialProfile(4.0, [0.0, math.log(4.0)], [0.0, 2.0])
     assert p.value_at(5.0) == 0.0  # beyond support
@@ -119,6 +180,23 @@ def test_dirichlet_exact_and_infinite_cases():
     # positive value at the support edge is an implicit jump
     edge = RadialProfile(2.0, [0.0, 1.0], [0.5, 1.0])
     assert dirichlet_norm_sq(edge) == math.inf
+
+
+def test_tm_functional_norms_equal_the_norm_functions():
+    # tm_functional takes its norms from the same knot differences as
+    # dirichlet_norm_sq and l2_norm_sq: equal bit for bit, inf included
+    rng = np.random.default_rng(21)
+    profiles = [random_profile(rng) for _ in range(40)] + [
+        RadialProfile(1.0, [0.0, 1.0, 1.0, 2.0], [0.0, 0.2, 0.5, 0.6]),
+        RadialProfile(2.0, [0.0, 0.0, 1.0], [0.0, 0.4, 0.4]),
+        RadialProfile(3.0, [0.0], [0.0]),
+        RadialProfile(3.0, [0.0], [0.7]),
+    ]
+    assert any(math.isinf(dirichlet_norm_sq(p)) for p in profiles)
+    for p in profiles:
+        rep = tm_functional(p, PI)
+        assert rep.dirichlet_sq == dirichlet_norm_sq(p)
+        assert rep.l2_sq == l2_norm_sq(p)
 
 
 def test_l2_matches_brute_quadrature():

@@ -183,6 +183,49 @@ def test_constructor_validation():
         alvino_extremal(math.pi, 1.0)
 
 
+@pytest.mark.parametrize(
+    "closed_form, builder, args",
+    [
+        (moser_l2_sq, moser, (1,)),
+        (modified_moser_norms, modified_moser, (1,)),
+        (cap_l2_sq, cap, (-1.0, 1.0)),
+        (cap_l2_sq, cap, (0.5, -2.0)),
+        (cap_l2_sq, cap, (4.0, -2.0)),
+        (cap_l2_sq, cap, (4.0, 1e200)),
+        (alvino_l2_sq, alvino_extremal, (10.0, 0.5)),
+        (alvino_l2_sq, alvino_extremal, (math.pi, 1.0)),
+        (alvino_l2_sq, alvino_extremal, (0.0, math.e)),
+    ],
+    ids=[
+        "moser-n1",
+        "modified_moser-n1",
+        "cap-k-1",
+        "cap-k0.5-r-2",
+        "cap-r-2",
+        "cap-r1e200",
+        "alvino-delta0.5",
+        "alvino-delta1",
+        "alvino-T0",
+    ],
+)
+def test_closed_forms_reject_what_the_builders_reject(closed_form, builder, args):
+    # the closed forms are reached without a profile (SequenceSpec,
+    # oracle_values): they raise the builder's ValueError, not nan or a
+    # ZeroDivisionError
+    with pytest.raises(ValueError) as want:
+        builder(*args)
+    with pytest.raises(ValueError) as got:
+        closed_form(*args)
+    assert str(got.value) == str(want.value)
+
+
+def test_oracle_values_reject_bad_parameters():
+    with pytest.raises(ValueError, match="delta must exceed 1"):
+        SequenceSpec("alvino", {"t_support": 10.0, "delta": 0.5}).oracle_values()
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        SequenceSpec("zygmund", {"k": -1.0}).oracle_values()
+
+
 def test_sequence_spec_validation():
     with pytest.raises(ValueError):
         SequenceSpec("gaussian", {"n": 10})
