@@ -1,9 +1,10 @@
 """Walk through one constrained maximization run.
 
-Seeds from the named families, shows how the incumbent improves, and
-checks the result against the two non-compactness landmarks: the
-vanishing level beta K^2 from below, and feasibility of the returned
-profile.  Reruns with the same seed reproduce the result bit for bit.
+Starts from caps at shares of the Dirichlet ceiling, shows how the
+incumbent improves, and checks the result against the two
+non-compactness landmarks: the vanishing level beta K^2 from below, and
+feasibility of the returned profile.  Reruns with the same seed
+reproduce the result bit for bit.
 """
 
 import argparse

@@ -18,7 +18,6 @@ from .inequalities import (
     best_eps,
     check_limine,
     remainder_functional,
-    vanishing_level,
     zcharact_bound,
     zygmund_quasinorm,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "adachi_ratio",
     "best_eps",
     "at_constant_eps",
-    "vanishing_level",
     "at_quadratic_bound",
     "remainder_functional",
     "zcharact_bound",

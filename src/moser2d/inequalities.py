@@ -31,7 +31,6 @@ __all__ = [
     "adachi_ratio",
     "at_constant_eps",
     "best_eps",
-    "vanishing_level",
     "at_quadratic_bound",
     "remainder_functional",
     "zcharact_bound",
@@ -242,17 +241,6 @@ def at_constant_eps(beta: float, eps: float) -> float:
     if not (0.0 < eps < (1.0 - b) / b):
         raise ValueError("eps must lie in (0, 4 pi/beta - 1)")
     return _4PI * math.exp(b) * max(b, math.exp(b / eps) / (1.0 - b * (1.0 + eps)))
-
-
-def vanishing_level(beta: float, big_k: float) -> float:
-    """beta K^2: the supremal functional value along vanishing sequences."""
-    beta = float(beta)
-    big_k = float(big_k)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if big_k < 0.0:
-        raise ValueError("K must be nonnegative")
-    return beta * big_k * big_k
 
 
 def at_quadratic_bound(beta: float) -> float:

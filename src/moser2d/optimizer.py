@@ -1,12 +1,14 @@
 """Constrained maximization of the exponential functional over profiles.
 
-Derivative-free projected coordinate ascent: moves perturb the support
-measure, global amplitude, global s-stretch, and individual knots; after
-every move the iterate is pushed back into the rearranged cone (isotonic
-regression on values) and onto the active norm budget (multiplicative
-amplitude rescale).  Restarts come from the named extremal families plus
-near-vanishing flat profiles, so the search never reports less than the
-best closed-form start.  Everything is deterministic given the seed.
+Every constraint set caps the Dirichlet energy theta = ||grad u||_2^2 and
+leaves the L2 mass the budget l2_budget(theta).  A dilation keeps theta and
+scales the L2 mass and J_beta alike, so the search runs on the budget
+boundary: an iterate is a shape on a fixed knot grid plus a share theta,
+placed by isotonic regression, a rescale to energy theta and a closed-form
+support measure.  Derivative-free coordinate ascent moves theta, stretches
+s and moves single knots, from cap shapes at shares of the ceiling; in this
+gauge every truncated logarithm is a cap shape.  Deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .profile import (
     tm_functional,
 )
 from .quadrature import profile_exp_integral
-from .sequences import alvino_extremal, cap, counterexample, counterexample_j_lower_bound
+from .sequences import cap, counterexample, counterexample_j_lower_bound
 
 __all__ = [
     "ConstraintSet",
@@ -97,13 +99,18 @@ class ConstraintSet:
         r = math.sqrt(dir_sq) + math.sqrt(l2_sq)
         return min(a, 1.0 / r) if r > 0.0 else a
 
-    def vanishing_level_value(self, beta: float) -> float:
-        """beta K_max^2 for the largest L2 mass the budget admits."""
+    def l2_budget(self, theta: float) -> float:
+        """Largest ||u||_2^2 admitted beside ||grad u||_2^2 = theta, for theta
+        up to the ceiling: (1 - delta)^2 for reduced, 1 (budget 0) otherwise."""
         if self.kind == "reduced":
-            return beta * self.K * self.K
+            return self.K * self.K
         if self.kind == "ruf":
-            return beta / self.tau
-        return beta
+            return (1.0 - theta) / self.tau
+        return (1.0 - math.sqrt(theta)) ** 2
+
+    def vanishing_level_value(self, beta: float) -> float:
+        """beta times the L2 mass admitted at zero energy: the vanishing level."""
+        return beta * self.l2_budget(0.0)
 
 
 @dataclass(frozen=True)
@@ -147,51 +154,47 @@ def _isotonic(y: np.ndarray) -> np.ndarray:
     return np.repeat(vals, counts)
 
 
-def _project(c: ConstraintSet, t: float, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _ceiling(c: ConstraintSet) -> float:
+    """Largest Dirichlet share theta the constraint set admits."""
+    return (1.0 - c.delta) ** 2 if c.kind == "reduced" else 1.0
+
+
+def _place(c: ConstraintSet, theta: float, s: np.ndarray, v: np.ndarray):
+    """(t_support, v): the shape (s, v) in the rearranged cone at Dirichlet
+    energy theta, with the support that makes ||u||_2^2 = l2_budget(theta).
+
+    None for an empty budget, a zero shape or a support beyond binary64.
+    """
     v = _isotonic(v)
     np.maximum(v, 0.0, out=v)
     v[0] = 0.0
-    ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
-    a = c.amplitude_cap(_dirichlet_sq(v, ds, dv), _l2_sq(t, s, v, ds, dv))
-    if a < 1.0:
-        v = v * a
-    return v
+    ds = s[1:] - s[:-1]
+    budget, d = c.l2_budget(theta), _dirichlet_sq(v, ds, v[1:] - v[:-1])
+    if not (budget > 0.0 and d > 0.0):
+        return None
+    v *= math.sqrt(theta / d)
+    l2 = _l2_sq(1.0, s, v, ds, v[1:] - v[:-1])
+    t = budget / l2 if l2 > 0.0 else math.inf
+    return (t, v) if t < math.inf else None
 
 
-def _resample(p: RadialProfile, n_knots: int):
-    s_last = float(p.s[-1]) if p.s[-1] > 0.0 else 1.0
-    grid = np.linspace(0.0, s_last, n_knots)
-    vals = np.interp(grid, p.s, p.v)
-    vals[0] = 0.0
-    return p.t_support, grid, vals
-
-
-def _plateau_start(c: ConstraintSet, h: float) -> RadialProfile:
-    # near-vanishing seed: low ramp to height h, support sized so the L2
-    # mass fills the budget left by the gradient term
-    unit = RadialProfile(1.0, [0.0, 1.0], [0.0, h])
-    dir_sq = _4PI * h * h
-    if c.kind == "reduced":
-        l2_target = c.K * c.K
-    elif c.kind == "ruf":
-        l2_target = max(1.0 - dir_sq, 0.01) / c.tau
-    else:
-        l2_target = max(1.0 - math.sqrt(dir_sq), 0.05) ** 2
-    t = l2_target / l2_norm_sq(unit)
-    return RadialProfile(t, [0.0, 1.0], [0.0, h])
+def _starts(c: ConstraintSet):
+    """(label, theta, k) of every start: the cap ramp over s in [0, k] at theta."""
+    return [("cap_k%g_share%g" % (k, f), f * _ceiling(c), k)
+            for k in (1.0, 2.0, 4.0, 8.0, 16.0) for f in (0.9, 0.3, 0.03, 0.001)]
 
 
 def family_starts(constraint: ConstraintSet):
-    """Labeled seed profiles: caps, truncated logs, near-vanishing ramps."""
+    """Labeled start profiles: caps of length k in {1, 2, 4, 8, 16} at
+    Dirichlet shares {0.9, 0.3, 0.03, 0.001} of the ceiling, on the budget
+    boundary.  A truncated logarithm of any support and height is one of
+    these shapes up to its length k, which the s-stretch move changes.
+    """
     out = []
-    for k in (1.0, 2.0, 4.0, 8.0, 16.0):
-        for r in (0.5, 2.0, 8.0):
-            out.append(("cap_k%g_r%g" % (k, r), cap(k, r)))
-    for t in (1.0, math.pi, 10.0, 50.0):
-        for d in (math.e, math.e**2):
-            out.append(("alvino_T%.3g_d%.3g" % (t, d), alvino_extremal(t, d)))
-    for h in (0.3, 0.1, 0.03, 0.01):
-        out.append(("plateau_h%g" % h, _plateau_start(constraint, h)))
+    for label, theta, k in _starts(constraint):
+        s = np.array([0.0, k])
+        t, v = _place(constraint, theta, s, s)
+        out.append((label, RadialProfile(t, s, v)))
     return out
 
 
@@ -204,20 +207,24 @@ def maximize(
 ) -> OptimizationResult:
     """Deterministic multi-start ascent under the given budget.
 
-    The reported best value is a fresh evaluation of the incumbent at
-    tolerance 1e-8; the search itself runs at a hotter tolerance.  For the
-    reduced constraint the critical exponent 4 pi/(1-delta)^2 is rejected,
-    where the supremum is infinite.
+    An iterate is a shape on n_knots knots plus a Dirichlet share theta,
+    evaluated where _place puts it, on the budget boundary.  Moves scale
+    theta up to the ceiling, stretch s, and move single knot values and
+    positions; a step doubles on success and halves otherwise.  The starts
+    of family_starts share half the budget, the best three the rest, and
+    exactly `budget` evaluations are spent.  The reported best value is a
+    fresh evaluation of the incumbent at tolerance 1e-8; the search runs at
+    1e-6.  For the reduced constraint the critical exponent
+    4 pi/(1-delta)^2 is rejected, where the supremum is infinite.
     """
     beta = float(beta)
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError("beta must be positive and finite")
-    if constraint.kind == "reduced":
-        crit = _4PI / (1.0 - constraint.delta) ** 2
-        if beta >= crit:
-            raise ValueError(
-                "supremum is infinite for beta >= 4 pi/(1-delta)^2 = %.6g" % crit
-            )
+    ceiling = _ceiling(constraint)
+    if constraint.kind == "reduced" and beta >= _4PI / ceiling:
+        raise ValueError(
+            "supremum is infinite for beta >= 4 pi/(1-delta)^2 = %.6g" % (_4PI / ceiling)
+        )
     if n_knots < 4:
         raise ValueError("n_knots must be >= 4")
     if budget < 1:
@@ -228,31 +235,24 @@ def maximize(
     evals = 0
     trace = []
 
-    def evaluate(t, s, v, tol):
-        nonlocal evals
-        evals += 1
-        if v[-1] <= 0.0:
-            return 0.0
-        value, _ = profile_exp_integral(t, s, v, beta, tol, kind="expm1")
-        return value
-
     states = []
-    for label, prof in family_starts(constraint):
+    for label, theta, k in _starts(constraint):
         if evals >= budget:
             break
-        t, s, v = _resample(prof, n_knots)
-        v = _project(constraint, t, s, v)
-        states.append([evaluate(t, s, v, hot_tol), t, s, v, label])
+        s = np.linspace(0.0, k, n_knots)
+        t, v = _place(constraint, theta, s, s)
+        evals += 1
+        states.append([profile_exp_integral(t, s, v, beta, hot_tol)[0], theta, t, s, v, label])
     states.sort(key=lambda st: st[0], reverse=True)
     best_j = states[0][0]
     trace.append(best_j)
 
     n = n_knots
-    n_moves = 6 + 2 * (n - 1) + 2 * (n - 1)
+    n_moves = 4 + 4 * (n - 1)
 
     def ascend(state, stop_evals):
-        nonlocal best_j
-        j, t, s, v = state[0], state[1], state[2].copy(), state[3].copy()
+        nonlocal best_j, evals
+        j, theta, t, s, v = state[:5]
         steps = np.full(n_moves, 0.3)
         gap_floor = 1e-9 * (1.0 + float(s[-1]))
         while evals < stop_evals and evals < budget:
@@ -260,27 +260,21 @@ def maximize(
                 if evals >= stop_evals or evals >= budget:
                     break
                 h = steps[k]
-                t2, s2, v2 = t, s, v
-                if k == 0:
-                    t2 = t * math.exp(h)
-                elif k == 1:
-                    t2 = t * math.exp(-h)
-                elif k == 2:
-                    v2 = v * math.exp(h)
-                elif k == 3:
-                    v2 = v * math.exp(-h)
-                elif k == 4:
-                    s2 = s * math.exp(h)
-                elif k == 5:
-                    s2 = s * math.exp(-h)
-                elif k < 6 + 2 * (n - 1):
-                    i = 1 + (k - 6) // 2
-                    sign = 1.0 if (k - 6) % 2 == 0 else -1.0
+                theta2, s2, v2 = theta, s, v
+                moved = True
+                if k < 2:
+                    theta2 = min(theta * math.exp(h if k == 0 else -h), ceiling)
+                    moved = theta2 != theta
+                elif k < 4:
+                    s2 = s * math.exp(h if k == 2 else -h)
+                elif k < 4 + 2 * (n - 1):
+                    i = 1 + (k - 4) // 2
+                    sign = 1.0 if (k - 4) % 2 == 0 else -1.0
                     scale = max(float(v[-1]), 1e-3)
                     v2 = v.copy()
                     v2[i] = max(v2[i] + sign * h * scale, 0.0)
                 else:
-                    k2 = k - 6 - 2 * (n - 1)
+                    k2 = k - 4 - 2 * (n - 1)
                     i = 1 + k2 // 2
                     sign = 1.0 if k2 % 2 == 0 else -1.0
                     width = max(float(s[-1]) / n, 1e-6)
@@ -288,26 +282,28 @@ def maximize(
                     lo = float(s[i - 1]) + gap_floor
                     hi = float(s[i + 1]) - gap_floor if i + 1 < n else math.inf
                     cand = min(max(cand, lo), hi)
-                    if cand == s[i] or not lo <= cand <= hi:
-                        steps[k] = max(steps[k] * 0.5, 1e-7)
-                        continue
+                    moved = cand != s[i] and lo <= cand <= hi
                     s2 = s.copy()
                     s2[i] = cand
-                v2p = _project(constraint, t2, s2, v2)
-                j2 = evaluate(t2, s2, v2p, hot_tol)
+                # a share at the ceiling or without L2 budget, like a
+                # bracketed knot, fails without an evaluation
+                placed = _place(constraint, theta2, s2, v2) if moved else None
+                j2 = -math.inf
+                if placed is not None:
+                    t2, v2 = placed
+                    evals += 1
+                    j2 = profile_exp_integral(t2, s2, v2, beta, hot_tol)[0]
                 if j2 > j:
-                    j, t, s, v = j2, t2, s2, v2p
+                    j, theta, t, s, v = j2, theta2, t2, s2, v2
                     steps[k] = min(steps[k] * 2.0, 2.0)
                     if j > best_j:
                         best_j = j
                         trace.append(j)
                 else:
                     steps[k] = max(steps[k] * 0.5, 1e-7)
-        state[0], state[1] = j, t
-        state[2], state[3] = s, v
-        return state
+        state[:5] = j, theta, t, s, v
 
-    if states and budget > evals:
+    if budget > evals:
         share = max((budget - evals) // (2 * len(states)), n_moves)
         for st in states:
             if evals >= budget:
@@ -326,7 +322,7 @@ def maximize(
                 break
         states.sort(key=lambda st: st[0], reverse=True)
 
-    _, t, s, v, label = states[0]
+    _, _, t, s, v, label = states[0]
     best_profile = RadialProfile(t, s, v)
     report = tm_functional(best_profile, beta, 1e-8)
     result_value = report.j_beta

@@ -186,9 +186,11 @@ def profile_exp_integral(t_support, s, v, beta, tol, kind="expm1"):
                 raise ValueOverflowError(j, s[j], v[j])
             piece = np.exp(lp)
             # a piece whose g underflowed is 0 times inf: it adds no error
-            terms = piece * (_TERM_ULPS + np.abs(log_t - s[idx]) + w - lg)
+            # eps first, as on the plateau: a piece near the binary64 maximum
+            # times its ulp count would overflow
+            terms = _EPS * piece * (_TERM_ULPS + np.abs(log_t - s[idx]) + w - lg)
             terms[np.isnan(terms)] = 0.0
-            err += _EPS * float(terms.sum())
+            err += float(terms.sum())
         total += float(piece.sum())
     w = beta * float(v[-1]) ** 2
     g = float(_g_scaled(w, remainder))

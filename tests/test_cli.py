@@ -25,6 +25,19 @@ def run_cli(*args):
     )
 
 
+def test_import_loads_no_scipy_integrate_or_optimize():
+    # both cost tens of MB and start-up time on every launch; the library
+    # needs only scipy.special
+    code = (
+        "import sys, moser2d, moser2d.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_oracles_pass():
     res = run_cli("oracles")
     assert res.returncode == 0

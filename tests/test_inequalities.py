@@ -26,7 +26,6 @@ from moser2d import (
     scale_amplitude,
     scale_dilate,
     tm_functional,
-    vanishing_level,
     zcharact_bound,
     zygmund_quasinorm,
 )
@@ -226,16 +225,6 @@ def test_subcritical_constants_validation():
         eps = best_eps(beta)
         assert 0.0 < eps < _4PI / beta - 1.0
         assert math.isfinite(at_constant_eps(beta, eps))
-
-
-def test_vanishing_level_values():
-    assert vanishing_level(2.0 * math.pi, 1.0) == 2.0 * math.pi
-    assert vanishing_level(3.0, 0.0) == 0.0
-    assert vanishing_level(2.0, 3.0) == 18.0
-    with pytest.raises(ValueError):
-        vanishing_level(0.0, 1.0)
-    with pytest.raises(ValueError):
-        vanishing_level(1.0, -1.0)
 
 
 def test_remainder_functional_identity():

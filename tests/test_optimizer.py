@@ -8,6 +8,7 @@ import pytest
 from moser2d import (
     ConstraintSet,
     OptimizationResult,
+    RadialProfile,
     blowup_scan,
     cap,
     dirichlet_norm_sq,
@@ -15,12 +16,14 @@ from moser2d import (
     l2_norm_sq,
     maximize,
     moser,
+    ruf_normalize,
     scale_amplitude,
     tm_functional,
     vanishing_probe,
 )
+from moser2d.optimizer import _place
 
-from conftest import rel_err
+from conftest import brute_j, rel_err
 
 _4PI = 4.0 * math.pi
 
@@ -145,6 +148,60 @@ def test_maximize_reduced_beats_vanishing_level():
     res = maximize(c, beta, n_knots=16, budget=2000, seed=0)
     assert res.vanishing_level_value == beta
     assert res.best_value > beta + 1e-2
+
+
+_NON_DEFAULT = (
+    ConstraintSet("reduced", delta=0.3, K=0.05),
+    ConstraintSet("ruf", tau=2.5),
+    ConstraintSet("norm_sum"),
+)
+
+
+def test_placement_lands_on_the_budget_boundary():
+    rng = np.random.default_rng(11)
+    for c in _NON_DEFAULT:
+        ceiling = (1.0 - c.delta) ** 2 if c.kind == "reduced" else 1.0
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            s = np.concatenate(([0.0], np.cumsum(rng.exponential(rng.uniform(0.01, 3.0), n - 1))))
+            # unsorted values exercise the isotonic step
+            v = rng.uniform(0.0, 1.0, n)
+            theta = ceiling * rng.uniform(1e-4, 1.0 if c.kind == "reduced" else 0.999)
+            t, w = _place(c, theta, s, v)
+            p = RadialProfile(t, s, w)
+            assert rel_err(dirichlet_norm_sq(p), theta) <= 1e-12
+            assert rel_err(l2_norm_sq(p), c.l2_budget(theta)) <= 1e-12
+            assert abs(c.residual(p)) <= 1e-12
+        # a share that leaves no L2 budget places nothing
+        if c.kind != "reduced":
+            assert _place(c, 1.0, s, v) is None
+
+
+@pytest.fixture(scope="module")
+def ruf_run():
+    return maximize(ConstraintSet("ruf"), _4PI, n_knots=16, budget=5000, seed=0)
+
+
+def test_maximize_ruf_beats_vanishing_level(ruf_run):
+    # the vanishing level is 4 pi; a maximizer exists because a direction
+    # beats it
+    assert ruf_run.best_value > _4PI + 0.25
+    p = ruf_run.best_profile
+    assert rel_err(ruf_run.best_value, brute_j(p, _4PI)) <= 1e-10
+
+
+def test_ruf_result_transports_to_adachi_tanaka(ruf_run):
+    # u/sqrt(theta) has unit Dirichlet energy; ruf_normalize at 4 pi theta
+    # carries it back to u itself with coefficient 1: the Ruf problem is
+    # the Adachi-Tanaka problem at alpha = 4 pi theta
+    u = ruf_run.best_profile
+    theta = ruf_run.feasibility_residuals["dirichlet_sq"]
+    trace = ruf_normalize(scale_amplitude(u, theta**-0.5), _4PI * theta)
+    back = trace.profiles[1]
+    assert abs(trace.coefficient - 1.0) <= 1e-12
+    assert rel_err(back.t_support, u.t_support) <= 1e-12
+    assert np.array_equal(back.s, u.s)
+    assert np.max(np.abs(back.v - u.v)) <= 1e-12 * u.v[-1]
 
 
 def test_blowup_scan_rows_and_bounds():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,22 @@ def test_large_but_finite_exponents_do_not_overflow():
     plateau = mp.expm1(beta * mp.mpf(top) ** 2) * mp.e ** (-1200)
     want = float(mp.mpf("1e-6") * (mp.quad(f, [0, 60, 1200]) + plateau))
     assert rel_err(rep.j_beta, want) < 1e-8
+
+
+def test_constant_piece_near_double_max_has_finite_error():
+    # 4 pi c^2 = 709.5 puts the constant piece within a factor of about
+    # 800 of the binary64 maximum; its error bound must not overflow
+    c = math.sqrt(709.5 / (4.0 * PI))
+    p = RadialProfile(1.0, [0.0, 50.0], [c, c])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = tm_functional(p, 4.0 * PI)
+        rem = remainder_functional(p, 4.0 * PI)
+    # the piece and the plateau fill the unit support: J = e^w - 1 ~ e^w
+    want = math.exp(709.5)
+    assert rel_err(rep.j_beta, want) < 1e-12
+    assert rel_err(rem, want) < 1e-12
+    assert 0.0 < rep.quad_error < 1e-12
 
 
 def test_underflowed_panels_are_not_dropped():
