@@ -1,11 +1,12 @@
 """Both sides of every profile inequality, with exact inner suprema.
 
-Window ratios like (u*(t) - u*(T)) / sqrt(log(T/t)) restrict to each
-linear piece of the profile as (A + m sig)/sqrt(sig) in sig = log(T/t),
-whose extrema are available in closed form, so equality cases come out
-exact instead of grid-limited.  Every "holds" verdict, the CLI's
-included, comes from InequalityReport.from_sides, the one place that
-states how much quadrature noise it allows.
+The window suprema of alvino_ratio_sup and zygmund_quasinorm are maxima
+over candidate arrays built from the knots in one pass.  On a linear piece
+each ratio is a closed-form function of s with no interior maximum, or one
+at a known point, so the knots and those points are all the candidates and
+equality cases come out exact instead of grid-limited.  Every "holds"
+verdict, the CLI's included, comes from InequalityReport.from_sides, the
+one place that states how much quadrature noise it allows.
 """
 
 from __future__ import annotations
@@ -73,131 +74,77 @@ class InequalityReport:
         return cls(lhs, rhs, slack, holds, witness)
 
 
-def _window_pieces(p: RadialProfile, t_win: float):
-    """Pieces of u* inside the window (0, t_win] in sig = log(t_win/t) > 0.
-
-    Yields ("lin", sig_l, sig_r, u_l, slope) for linear or constant runs
-    and ("jump", sig, upper_value) for jumps, including the materialized
-    edge jump at the support boundary when the window covers it.
-    """
-    s, v = p.s, p.v
-    c = math.log(t_win / p.t_support)
-    pieces = []
-    if c >= 0.0 and v[0] > 0.0:
-        pieces.append(("jump", c, float(v[0])))
-    for i in range(s.size - 1):
-        sl, sr = float(s[i]) + c, float(s[i + 1]) + c
-        if sr < 0.0:
-            continue
-        if s[i + 1] == s[i]:
-            pieces.append(("jump", sl, float(v[i + 1])))
-            continue
-        m = (v[i + 1] - v[i]) / (s[i + 1] - s[i])
-        ul = float(v[i])
-        if sl < 0.0:
-            ul += m * (0.0 - sl)
-            sl = 0.0
-        pieces.append(("lin", sl, sr, ul, m))
-    sl = float(s[-1]) + c
-    pieces.append(("lin", max(sl, 0.0), math.inf, float(v[-1]), 0.0))
-    return pieces
-
-
 def alvino_ratio_sup(p: RadialProfile, t_win: float) -> InequalityReport:
     """sup over (0, T] of (u*(t) - u*(T))/sqrt(log(T/t)) vs Dirichlet side.
 
-    Exact per piece: for A + m sig over sqrt(sig) the supremum sits at an
-    interval endpoint, and jumps contribute their upper value.  A jump at
-    the window edge itself sends the ratio to infinity, matching the
-    infinite Dirichlet seminorm of step profiles.
+    In sig = log(T/t) a linear piece gives (A + m sig)/sqrt(sig), whose
+    derivative (m sig - A)/(2 sig^{3/2}) changes sign only from - to +, so
+    the supremum sits at a knot with sig > 0; a jump's upper value is a
+    knot too.  T sits at s = log(T_sup/T), where value_at puts it.  A jump
+    on the window edge (sig = 0) with a positive numerator sends the ratio
+    to infinity, matching the infinite Dirichlet seminorm of step profiles.
+    The witness is the measure t of the first maximizing knot, or T when
+    no numerator inside the window is positive.
     """
     t_win = float(t_win)
     if not (t_win > 0.0 and math.isfinite(t_win)):
         raise ValueError("window measure must be positive and finite")
     rhs = math.sqrt(dirichlet_norm_sq(p) / _4PI)
     u_t = 0.0 if t_win >= p.t_support else p.value_at(t_win)
-    best = 0.0
-    best_sig = 0.0
-    infinite = False
-
-    def consider(sig, numer):
-        nonlocal best, best_sig, infinite
-        if numer <= 0.0:
-            return
-        if sig <= 0.0:
-            # only jumps reach here: continuous pieces tend to ratio 0 at
-            # the window edge and their sig = 0 candidates are skipped
-            infinite = True
-            return
-        val = numer / math.sqrt(sig)
-        if val > best:
-            best, best_sig = val, sig
-
-    for piece in _window_pieces(p, t_win):
-        if piece[0] == "jump":
-            _, sig, upper = piece
-            if sig >= 0.0:
-                consider(sig, upper - u_t)
-        else:
-            _, sl, sr, ul, m = piece
-            if sl > 0.0:
-                consider(sl, ul - u_t)
-            if math.isfinite(sr) and sr > 0.0:
-                consider(sr, ul + m * (sr - sl) - u_t)
-    if infinite:
+    s, v = p.s, p.v
+    # T at s = log(T_sup/T), as value_at places it: a window ending at a
+    # jump's stored measure has that jump at sig = 0 exactly
+    sig = s - math.log(p.t_support / t_win)
+    numer = v - u_t
+    # knot 0 carries the support-edge jump when v_0 > 0
+    jump = np.append(v[0] > 0.0, s[1:] == s[:-1])
+    if (jump & (sig == 0.0) & (numer > 0.0)).any():
         return InequalityReport.from_sides(math.inf, rhs, t_win)
-    return InequalityReport.from_sides(best, rhs, t_win * math.exp(-best_sig))
+    inside = (sig > 0.0) & (numer > 0.0)
+    ratio = np.where(inside, numer, 0.0) / np.sqrt(np.where(inside, sig, 1.0))
+    k = int(np.argmax(ratio))
+    sig_k = float(sig[k]) if ratio[k] > 0.0 else 0.0
+    return InequalityReport.from_sides(float(ratio[k]), rhs, t_win * math.exp(-sig_k))
 
 
 def zygmund_quasinorm(p: RadialProfile):
     """sup over windows T and t in (0, T] of u*(t)/sqrt(4 pi/T + log(T/t)).
 
     The outer supremum is solved first: for fixed t the window cost
-    4 pi/T + log(T/t) is minimized at T = max(4 pi, t), leaving a single
-    supremum over s with weight h(t) = 1 + log(4 pi/t) for t <= 4 pi and
-    4 pi/t beyond.  Returns (value, (T_witness, t_witness)).
+    4 pi/T + log(T/t) is minimized at T = max(4 pi, t), leaving one
+    supremum over s of U(s) times a weight, 1/sqrt(1 - s_c + s) for
+    s >= s_c = log(T_sup/4 pi) and sqrt(T_sup/4 pi) e^{-s/2} below.  On a
+    linear piece U/sqrt(1 - s_c + s) has only an interior minimum, and
+    (a + m s) e^{-s/2} only an interior maximum, at s* = 2 - a/m, so the
+    candidates are the knots, s_c and each rising piece's s* below s_c.
+    Returns (value, (T_witness, t_witness)).
     """
     t_sup = p.t_support
     s_c = math.log(t_sup / _4PI)
-    cc = 1.0 - s_c
-    best = 0.0
-    best_s = 0.0
-
-    def g1(s, u):
-        return u / math.sqrt(cc + s)
-
-    def g2(s, u):
-        return u * math.exp(-0.5 * s) * math.sqrt(t_sup / _4PI)
-
-    def consider(s, u):
-        nonlocal best, best_s
-        val = g1(s, u) if s >= s_c else g2(s, u)
-        if val > best:
-            best, best_s = val, s
-
     s, v = p.s, p.v
-    for i in range(s.size - 1):
-        sl, sr = float(s[i]), float(s[i + 1])
-        if sr == sl:
-            consider(sl, float(v[i + 1]))
-            continue
-        m = (v[i + 1] - v[i]) / (sr - sl)
-        a = float(v[i]) - m * sl
-        consider(sl, float(v[i]))
-        consider(sr, float(v[i + 1]))
-        if sl < s_c < sr:
-            # regime boundary splits the piece; both weights agree there
-            consider(s_c, a + m * s_c)
-        if m > 0.0 and s_c > sl:
-            # interior maximum of (a + m s) e^{-s/2} in the small-window regime
-            st = 2.0 - a / m
-            if sl < st < min(sr, s_c):
-                consider(st, a + m * st)
-    consider(max(float(s[-1]), 0.0), float(v[-1]))
-    if s_c > s[-1]:
-        consider(s_c, float(v[-1]))
-    t_best = t_sup * math.exp(-best_s)
-    return best, (max(_4PI, t_best), t_best)
+    # linear pieces, plus the terminal plateau as the piece (s_last, inf)
+    lin = s[1:] > s[:-1]
+    sl = np.append(s[:-1][lin], s[-1])
+    sr = np.append(s[1:][lin], math.inf)
+    vl = np.append(v[:-1][lin], v[-1])
+    m = (np.append(v[1:][lin], v[-1]) - vl) / (sr - sl)
+    a = vl - m * sl
+    at_c = (sl < s_c) & (s_c < sr)
+    rise = m > 0.0
+    s_star = 2.0 - a[rise] / m[rise]
+    peak = (sl[rise] < s_star) & (s_star < np.minimum(sr[rise], s_c))
+    a_p, m_p, s_p = a[rise][peak], m[rise][peak], s_star[peak]
+    cs = np.concatenate((s, np.full(np.count_nonzero(at_c), s_c), s_p))
+    cu = np.concatenate((v, a[at_c] + m[at_c] * s_c, a_p + m_p * s_p))
+    small = cs < s_c
+    val = np.where(
+        small,
+        cu * np.exp(-0.5 * cs) * math.sqrt(t_sup / _4PI),
+        cu / np.sqrt(np.where(small, 1.0, 1.0 - s_c + cs)),
+    )
+    k = int(np.argmax(val))
+    t_best = t_sup * math.exp(-float(cs[k]))
+    return float(val[k]), (max(_4PI, t_best), t_best)
 
 
 def check_limine(p: RadialProfile) -> InequalityReport:

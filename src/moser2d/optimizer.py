@@ -84,21 +84,6 @@ class ConstraintSet:
     def feasible(self, p: RadialProfile, tol: float = 1e-9) -> bool:
         return self.residual(p) <= tol
 
-    def amplitude_cap(self, dir_sq: float, l2_sq: float) -> float:
-        """Largest a <= 1 keeping (a^2 dir_sq, a^2 l2_sq) inside the budget."""
-        a = 1.0
-        if self.kind == "reduced":
-            if dir_sq > 0.0:
-                a = min(a, (1.0 - self.delta) / math.sqrt(dir_sq))
-            if l2_sq > 0.0:
-                a = min(a, self.K / math.sqrt(l2_sq))
-            return a
-        if self.kind == "ruf":
-            q = dir_sq + self.tau * l2_sq
-            return min(a, 1.0 / math.sqrt(q)) if q > 0.0 else a
-        r = math.sqrt(dir_sq) + math.sqrt(l2_sq)
-        return min(a, 1.0 / r) if r > 0.0 else a
-
     def l2_budget(self, theta: float) -> float:
         """Largest ||u||_2^2 admitted beside ||grad u||_2^2 = theta, for theta
         up to the ceiling: (1 - delta)^2 for reduced, 1 (budget 0) otherwise."""
@@ -212,10 +197,12 @@ def maximize(
     theta up to the ceiling, stretch s, and move single knot values and
     positions; a step doubles on success and halves otherwise.  The starts
     of family_starts share half the budget, the best three the rest, and
-    exactly `budget` evaluations are spent.  The reported best value is a
-    fresh evaluation of the incumbent at tolerance 1e-8; the search runs at
-    1e-6.  For the reduced constraint the critical exponent
-    4 pi/(1-delta)^2 is rejected, where the supremum is infinite.
+    exactly `budget` evaluations are spent.  The incumbent's amplitude is
+    shrunk by a few ulps where rounding left it outside the bound, so the
+    returned profile has residual <= 0, and the reported best value is a
+    fresh evaluation of it at tolerance 1e-8; the search runs at 1e-6.
+    For the reduced constraint the critical exponent 4 pi/(1-delta)^2 is
+    rejected, where the supremum is infinite.
     """
     beta = float(beta)
     if not (beta > 0.0 and math.isfinite(beta)):
@@ -324,9 +311,17 @@ def maximize(
 
     _, _, t, s, v, label = states[0]
     best_profile = RadialProfile(t, s, v)
+    # the rescale in _place can round the norms a few ulps past the bound;
+    # shrink the incumbent's amplitude by 2^-52, 2^-51, ... until it is inside
+    for e in range(52, 40, -1):
+        if constraint.residual(best_profile) <= 0.0:
+            break
+        best_profile = RadialProfile(t, s, v * (1.0 - 2.0**-e))
     report = tm_functional(best_profile, beta, 1e-8)
     result_value = report.j_beta
-    trace.append(max(result_value, trace[-1]))
+    # the trace ends at the reported value and stays nondecreasing, also
+    # where the fresh evaluation or the shrink lands below the search's value
+    trace = [min(j, result_value) for j in trace] + [result_value]
     residual = constraint.residual(best_profile)
     return OptimizationResult(
         best_profile=best_profile,

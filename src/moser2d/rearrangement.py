@@ -82,14 +82,12 @@ def decreasing_rearrangement(w: WeightedSamples) -> RadialProfile:
     bounds = np.append(cum[np.nonzero(first)[0][1:] - 1], cum[-1])
     t_sup = float(cum[-1])
     # knots from the support edge inward: jump to the smallest step, then
-    # one jump per level change at sigma_j = log(T / A_j)
-    s_list = [0.0, 0.0]
-    v_list = [0.0, float(steps[-1])]
-    for j in range(steps.size - 2, -1, -1):
-        sig = math.log(t_sup / float(bounds[j]))
-        s_list.extend([sig, sig])
-        v_list.extend([float(steps[j + 1]), float(steps[j])])
-    return RadialProfile(t_sup, s_list, v_list)
+    # one jump per level change at sigma_j = log(T / A_j); math.log, not
+    # np.log, whose last bit differs from libm on some inputs
+    sig = list(map(math.log, (t_sup / bounds[-2::-1]).tolist()))
+    s = np.repeat([0.0] + sig, 2)
+    v = np.append(0.0, np.repeat(steps[::-1], 2)[:-1])
+    return RadialProfile(t_sup, s, v)
 
 
 def profile_distribution(p: RadialProfile, level: float) -> float:

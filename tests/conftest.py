@@ -168,6 +168,45 @@ def random_smooth_profile(rng, max_dirichlet: float = 1.0) -> RadialProfile:
     return RadialProfile(t_sup, s, v)
 
 
+def _levels_of_steps(values, areas):
+    # distinct positive cell values v_j, descending, with the outer measure
+    # A_j = |{value >= v_j}|: the decreasing rearrangement is v_j on
+    # [A_{j-1}, A_j), right-continuous like RadialProfile.value_at
+    values = np.asarray(values, dtype=float)
+    areas = np.asarray(areas, dtype=float)
+    levels = np.unique(values[values > 0.0])[::-1]
+    return levels, np.array([areas[values >= lv].sum() for lv in levels])
+
+
+def window_ratio_of_steps(values, areas, t_win: float) -> float:
+    # sup over t in (0, T] of (u*(t) - u*(T))/sqrt(log(T/t)) for the
+    # rearrangement of weighted cells: on the step [A_{j-1}, A_j) the ratio
+    # grows with t, so its supremum is the limit at A_j, infinite at A_j = T
+    levels, outer = _levels_of_steps(values, areas)
+    u_t = max(levels[outer > t_win], default=0.0)
+    best = 0.0
+    for lv, a in zip(levels, outer):
+        if lv > u_t and a == t_win:
+            return math.inf
+        if lv > u_t and a < t_win:
+            best = max(best, (lv - u_t) / math.sqrt(math.log(t_win / a)))
+    return best
+
+
+def window_quasinorm_of_steps(values, areas) -> float:
+    # sup over windows T and t in (0, T] of u*(t)/sqrt(4 pi/T + log(T/t)):
+    # the best window leaves the weight phi(t) = (1 + log(4 pi/t))^{-1/2}
+    # for t <= 4 pi and sqrt(t/4 pi) beyond, increasing in t, so each
+    # step contributes v_j phi(A_j)
+    levels, outer = _levels_of_steps(values, areas)
+    four_pi = 4.0 * math.pi
+    best = 0.0
+    for lv, a in zip(levels, outer):
+        phi = math.sqrt(a / four_pi) if a > four_pi else (1.0 + math.log(four_pi / a)) ** -0.5
+        best = max(best, lv * phi)
+    return best
+
+
 def rel_err(got: float, want: float) -> float:
     if want == 0.0:
         return abs(got)

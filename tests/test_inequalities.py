@@ -30,7 +30,14 @@ from moser2d import (
     zygmund_quasinorm,
 )
 
-from conftest import brute_j, brute_l2, random_smooth_profile, rel_err
+from conftest import (
+    brute_j,
+    brute_l2,
+    random_smooth_profile,
+    rel_err,
+    window_quasinorm_of_steps,
+    window_ratio_of_steps,
+)
 
 _4PI = 4.0 * math.pi
 
@@ -81,6 +88,19 @@ def test_alvino_dominates_grid_scan():
             assert rep.holds
 
 
+def _step_samples(rng, dyadic):
+    m = int(rng.integers(1, 30))
+    values = rng.uniform(0.0, 4.0, m)
+    if rng.random() < 0.5:
+        values = np.round(values, 1)  # ties merge into one step
+    values[rng.random(m) < 0.1] = 0.0
+    if dyadic:
+        # every partial sum is exact, so a level's measure is the same
+        # float to the oracle and to the rearrangement's knots
+        return values, rng.integers(1, 129, m) / 8.0
+    return values, np.exp(rng.uniform(-3.0, 3.0, m))
+
+
 def test_alvino_jump_gives_infinite_ratio():
     w = WeightedSamples(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
     p = decreasing_rearrangement(w)
@@ -90,6 +110,28 @@ def test_alvino_jump_gives_infinite_ratio():
     assert rep.holds
     with pytest.raises(ValueError):
         alvino_ratio_sup(p, 0.0)
+    # jumps inside the window: strictly between two levels' measures, and
+    # on exact measures, at the support and at a level's measure
+    rng = np.random.default_rng(41)
+    n_inf = 0
+    for i in range(300):
+        dyadic = i % 2 == 0
+        values, areas = _step_samples(rng, dyadic)
+        outer = sorted({areas[values >= x].sum() for x in values[values > 0.0]})
+        if not outer:
+            continue
+        p = decreasing_rearrangement(WeightedSamples(values, areas))
+        k = int(rng.integers(0, len(outer)))
+        inside = math.sqrt(outer[k - 1] * outer[k]) if k else 0.5 * outer[0]
+        for t_win in [inside, p.t_support, outer[k]] if dyadic else [inside]:
+            want = window_ratio_of_steps(values, areas, t_win)
+            got = alvino_ratio_sup(p, t_win).lhs
+            if math.isinf(want):
+                n_inf += 1
+                assert math.isinf(got)
+            else:
+                assert rel_err(got, want) <= 1e-12
+    assert n_inf > 100
 
 
 def test_zygmund_constant_profile_value():
@@ -128,6 +170,15 @@ def test_zygmund_dominates_window_grid():
                 best = max(best, p.value_at(t) / math.sqrt(_4PI / tw + math.log(tw / t)))
         assert val >= best - 1e-12 * max(1.0, best)
         assert rel_err(val, best) < 1e-9  # witness in the grid attains it
+
+
+def test_zygmund_on_step_profiles():
+    rng = np.random.default_rng(57)
+    for i in range(300):
+        values, areas = _step_samples(rng, dyadic=i % 2 == 0)
+        p = decreasing_rearrangement(WeightedSamples(values, areas))
+        val, _ = zygmund_quasinorm(p)
+        assert rel_err(val, window_quasinorm_of_steps(values, areas)) <= 1e-13
 
 
 def test_check_limine_on_families():

@@ -10,7 +10,6 @@ from moser2d import (
     OptimizationResult,
     RadialProfile,
     blowup_scan,
-    cap,
     dirichlet_norm_sq,
     family_starts,
     l2_norm_sq,
@@ -54,31 +53,11 @@ def test_constraint_residuals_and_feasibility():
     assert not ConstraintSet("norm_sum").feasible(p)
 
 
-def test_amplitude_cap_saturates_budget():
-    p = cap(4.0, 1.0)
-    d, l = dirichlet_norm_sq(p), l2_norm_sq(p)
-    for c in (
-        ConstraintSet("reduced", delta=0.3, K=0.05),
-        ConstraintSet("ruf", tau=2.5),
-        ConstraintSet("norm_sum"),
-    ):
-        a = c.amplitude_cap(d, l)
-        q = scale_amplitude(p, a)
-        assert c.residual(q) <= 1e-12
-        # the cap is tight: 0.1 percent more violates
-        assert c.residual(scale_amplitude(p, a * 1.001)) > 0.0
-
-
 def test_vanishing_level_per_kind():
     beta = 2.0 * math.pi
     assert ConstraintSet("reduced", K=2.0).vanishing_level_value(beta) == beta * 4.0
     assert ConstraintSet("ruf", tau=4.0).vanishing_level_value(beta) == beta / 4.0
     assert ConstraintSet("norm_sum").vanishing_level_value(beta) == beta
-
-
-def _capped(c, p):
-    a = c.amplitude_cap(dirichlet_norm_sq(p), l2_norm_sq(p))
-    return scale_amplitude(p, a)
 
 
 def test_family_starts_are_labeled_and_cappable():
@@ -88,8 +67,8 @@ def test_family_starts_are_labeled_and_cappable():
     assert len(labels) == len(set(labels))
     assert len(starts) >= 20
     for _, p in starts:
-        # raw seeds may exceed the budget; the amplitude cap restores it
-        assert c.residual(_capped(c, p)) <= 1e-9
+        # starts are placed on the budget boundary
+        assert c.residual(p) <= 1e-9
 
 
 def test_maximize_validation():
@@ -122,9 +101,9 @@ def test_maximize_small_run_contract():
     # feasibility at the incumbent
     assert res.feasibility_residuals["constraint"] <= 1e-9
     assert c.feasible(res.best_profile)
-    # never below any family-seeded start after budget capping
+    # never below any family-seeded start
     floor = max(
-        tm_functional(_capped(c, p), beta, tol=1e-8).j_beta
+        tm_functional(p, beta, tol=1e-8).j_beta
         for _, p in family_starts(c)
     )
     assert res.best_value >= floor * (1.0 - 1e-5)
@@ -140,6 +119,25 @@ def test_maximize_different_seeds_stay_feasible():
         res = maximize(c, _4PI, n_knots=12, budget=800, seed=seed)
         assert res.feasibility_residuals["constraint"] <= 1e-9
         assert res.best_value > 0.0
+
+
+@pytest.mark.parametrize(
+    "kind, seed", [("reduced", 3), ("reduced", 4), ("norm_sum", 0), ("norm_sum", 6),
+                   ("norm_sum", 7), ("norm_sum", 10)],
+)
+def test_maximize_returns_a_feasible_profile_exactly(kind, seed):
+    # the rescale to energy theta can round the norms past the bound;
+    # the returned profile is inside it without tolerance
+    if kind == "reduced":
+        c, beta = ConstraintSet("reduced", delta=0.3, K=0.05), 2.0 * math.pi
+    else:
+        c, beta = ConstraintSet("norm_sum"), _4PI
+    res = maximize(c, beta, n_knots=12, budget=400, seed=seed)
+    assert c.residual(res.best_profile) <= 0.0
+    assert res.feasibility_residuals["constraint"] <= 0.0
+    assert res.best_value == tm_functional(res.best_profile, beta, tol=1e-8).j_beta
+    assert res.objective_trace[-1] == res.best_value
+    assert all(np.diff(res.objective_trace) >= 0.0)
 
 
 def test_maximize_reduced_beats_vanishing_level():
