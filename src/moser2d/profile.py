@@ -233,14 +233,39 @@ def _dirichlet_sq(v, ds, dv) -> float:
 
 def _l2_sq(t, s, v, ds, dv) -> float:
     """T int U(s)^2 e^{-s} ds from segment_moments; zero-length pieces add nothing."""
-    a, p0 = s[:-1], v[:-1]
-    if not ds.all():
+    a, p0, v_end = s[:-1], v[:-1], float(v[-1])
+    # one reduction finds both rare cases: jumps (ds = 0), and pieces with
+    # ds <= 1e-154 v_end, the only ones where m = dv / ds can reach 1e154
+    # and m * m overflow
+    rare = ds.size > 0 and not ds.min() > v_end * 1e-154
+    if rare:
         lin = ds > 0.0
         a, p0, ds, dv = a[lin], p0[lin], ds[lin], dv[lin]
-    m = dv / ds
     p1, p2, p3 = segment_moments(ds, 2)
-    acc = float((np.exp(-a) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)).sum())
-    return t * (acc + float(v[-1]) ** 2 * math.exp(-float(s[-1])))
+    if rare:
+        terms = _steep_terms(p0, ds, dv, p1, p2, p3)
+    else:
+        m = dv / ds
+        terms = p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3
+    acc = float((np.exp(-a) * terms).sum())
+    return t * (acc + v_end ** 2 * math.exp(-float(s[-1])))
+
+
+def _steep_terms(p0, ds, dv, p1, p2, p3):
+    """_l2_sq's terms where m = dv / ds may overflow: unchanged where finite.
+
+    A term that is not finite is formed again without m, as dv^2 (M_2/ds^2)
+    + 2 p0 dv (M_1/ds) + p0^2 M_0: M_j ~ ds^(j+1)/(j+1) may underflow where
+    m * m overflows, but then its term is negligible.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = dv / ds
+        terms = p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3
+        bad = ~np.isfinite(terms)
+        if bad.any():
+            p0, ds, dv, p1, p2, p3 = p0[bad], ds[bad], dv[bad], p1[bad], p2[bad], p3[bad]
+            terms[bad] = p0 * p0 * p1 + 2.0 * p0 * (dv * (p2 / ds)) + dv * (dv * (p3 / ds / ds))
+    return terms
 
 
 def dirichlet_norm_sq(p: RadialProfile) -> float:

@@ -1,0 +1,32 @@
+"""Each demo runs to completion in a child interpreter and prints its closing line."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv, closing",
+    [
+        (["blowup_and_bounds.py"],
+         r"beta=12\.566371 +span \[[0-9.]+, [0-9.]+\]  critical: unbounded, but grows only past n ~ 10\^23\.7"),
+        (["sharp_constants.py"], r"the ratio climbs to 1, so the constant in the window bound is sharp"),
+        (["optimize_walkthrough.py", "--budget", "2000"], r"lam=0\.001 +J=[0-9.]+ gap=[0-9.e+-]+"),
+    ],
+    ids=["blowup_and_bounds", "sharp_constants", "optimize_walkthrough"],
+)
+def test_demo_runs(argv, closing):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / argv[0]), *argv[1:]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(closing, done.stdout.splitlines()[-1].strip()), done.stdout

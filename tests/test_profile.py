@@ -18,6 +18,7 @@ from moser2d import (
     scale_dilate,
     tm_functional,
 )
+from moser2d.quadrature import profile_exp_integral
 
 from conftest import (
     brute_j,
@@ -207,6 +208,29 @@ def test_l2_matches_brute_quadrature():
         assert rel_err(l2_norm_sq(p), brute_l2(p)) < 1e-11
 
 
+@pytest.mark.parametrize(
+    "s, v",
+    [([0.0, 1e-300], [0.0, 1.0]), ([0.0, 1e-60], [0.0, 1e100]), ([0.0, 1e-160, 2.0], [0.0, 1.0, 3.0])],
+    ids=["slope_1e300", "slope_1e160_rise_1e100", "steep_then_gentle"],
+)
+def test_l2_of_steep_pieces_is_finite(s, v):
+    # m * m overflows where M_2(ds) ~ ds^3/3 has underflowed or is tiny;
+    # the exact sum of T e^-a int_0^ds (v_a + m y)^2 e^-y dy, at 50 digits
+    import mpmath as mp
+
+    p = RadialProfile(1.0, s, v)
+    with mp.workdps(50):
+        total = mp.mpf(v[-1]) ** 2 * mp.exp(-mp.mpf(s[-1]))
+        for a, b, va, vb in zip(s, s[1:], v, v[1:]):
+            ds, m = mp.mpf(b) - a, (mp.mpf(vb) - va) / (mp.mpf(b) - a)
+            mom = [mp.factorial(j) * mp.gammainc(j + 1, 0, ds, regularized=True) for j in range(3)]
+            total += mp.exp(-mp.mpf(a)) * (va * va * mom[0] + 2 * va * m * mom[1] + m * m * mom[2])
+        want = float(total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rel_err(l2_norm_sq(p), want) < 1e-14
+
+
 def test_tm_functional_matches_brute_quadrature():
     rng = np.random.default_rng(12)
     for _ in range(40):
@@ -239,6 +263,10 @@ def test_tm_functional_validation():
         tm_functional(p, 2.0, tol=1e-3)  # looser than the contract allows
     with pytest.raises(ValueError):
         tm_functional(p, 2.0, tol=0.0)
+    # kind is checked before either summation path is chosen
+    for q in (p, RadialProfile(PI, np.linspace(0.0, 9.0, 10), np.linspace(0.0, 0.5, 10))):
+        with pytest.raises(ValueError, match="'expm1' or 'remainder'"):
+            profile_exp_integral(q.t_support, q.s, q.v, 2.0, 1e-10, kind="Expm1")
 
 
 def test_overflow_signals_offending_knot():
