@@ -9,6 +9,12 @@ support measure.  Derivative-free coordinate ascent moves theta, stretches
 s and moves single knots, from cap shapes at shares of the ceiling; in this
 gauge every truncated logarithm is a cap shape.  Deterministic given the
 seed.
+
+Most moves fail, so the ascent speculates: it builds the next few moves of
+its permutation from the incumbent, places and scores them as one stack,
+and walks them in order.  The first acceptance discards the rest, which
+were built from the old incumbent.  Each row is computed as it would be
+alone, so the search is the one-move-at-a-time search, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .profile import (
     scale_dilate,
     tm_functional,
 )
-from .quadrature import profile_exp_integral
+from .quadrature import ValueOverflowError, _stack_values
 from .sequences import cap, counterexample, counterexample_j_lower_bound
 
 __all__ = [
@@ -44,6 +50,10 @@ __all__ = [
 
 _4PI = 4.0 * math.pi
 _KINDS = ("reduced", "ruf", "norm_sum")
+# ascend places and scores the next moves of its permutation as one stack:
+# _BATCH_MIN of them after an acceptance, twice as many after each batch
+# without one, up to _BATCH_MAX
+_BATCH_MIN, _BATCH_MAX = 4, 32
 
 
 @dataclass(frozen=True)
@@ -144,23 +154,30 @@ def _ceiling(c: ConstraintSet) -> float:
     return (1.0 - c.delta) ** 2 if c.kind == "reduced" else 1.0
 
 
-def _place(c: ConstraintSet, theta: float, s: np.ndarray, v: np.ndarray):
+def _place(c: ConstraintSet, theta, s: np.ndarray, v: np.ndarray):
     """(t_support, v): the shape (s, v) in the rearranged cone at Dirichlet
     energy theta, with the support that makes ||u||_2^2 = l2_budget(theta).
 
     None for an empty budget, a zero shape or a support beyond binary64.
+    A stack of shapes (rows of s and v, an array theta) gives an array
+    t_support, inf in the rows that place nothing, and the stacked values.
     """
-    v = _isotonic(v)
+    if s.ndim == 1:
+        t, v = _place(c, np.array([theta]), s[None], v[None])
+        return (float(t[0]), v[0]) if t[0] < math.inf else None
+    v = v.astype(float)
+    for r in (~(v[:, 1:] >= v[:, :-1]).all(axis=1)).nonzero()[0].tolist():
+        v[r] = _isotonic(v[r])
     np.maximum(v, 0.0, out=v)
-    v[0] = 0.0
-    ds = s[1:] - s[:-1]
-    budget, d = c.l2_budget(theta), _dirichlet_sq(v, ds, v[1:] - v[:-1])
-    if not (budget > 0.0 and d > 0.0):
-        return None
-    v *= math.sqrt(theta / d)
-    l2 = _l2_sq(1.0, s, v, ds, v[1:] - v[:-1])
-    t = budget / l2 if l2 > 0.0 else math.inf
-    return (t, v) if t < math.inf else None
+    v[:, 0] = 0.0
+    ds = s[:, 1:] - s[:, :-1]
+    budget = [c.l2_budget(x) for x in theta.tolist()]
+    d = _dirichlet_sq(v, ds, v[:, 1:] - v[:, :-1])
+    ok = (np.array(budget) > 0.0) & (d > 0.0)
+    v *= np.sqrt(theta / np.where(ok, d, 1.0))[:, None]
+    l2 = _l2_sq(1.0, s, v, ds, v[:, 1:] - v[:, :-1])
+    t = [b / x if x > 0.0 else math.inf for b, x in zip(budget, l2.tolist())]
+    return np.where(ok, t, math.inf), v
 
 
 def _starts(c: ConstraintSet):
@@ -203,6 +220,11 @@ def maximize(
     fresh evaluation of it at tolerance 1e-8; the search runs at 1e-6.
     For the reduced constraint the critical exponent 4 pi/(1-delta)^2 is
     rejected, where the supremum is infinite.
+
+    The starts are placed and scored as one stack, and so are the moves, in
+    speculative batches of _BATCH_MIN to _BATCH_MAX: the result, the trace
+    and the evaluation count are those of trying one move at a time.  An
+    overflow raises ValueOverflowError only at a move the walk reaches.
     """
     beta = float(beta)
     if not (beta > 0.0 and math.isfinite(beta)):
@@ -222,14 +244,18 @@ def maximize(
     evals = 0
     trace = []
 
+    starts = _starts(constraint)[:budget]
+    s = np.array([np.linspace(0.0, k, n_knots) for _, _, k in starts])
+    t, v = _place(constraint, np.array([x[1] for x in starts]), s, s)
+    values = _stack_values(t, s, v, beta, hot_tol)
     states = []
-    for label, theta, k in _starts(constraint):
-        if evals >= budget:
-            break
-        s = np.linspace(0.0, k, n_knots)
-        t, v = _place(constraint, theta, s, s)
+    for (label, theta, _), j, t_r, s_r, v_r in zip(starts, values, t.tolist(), s, v):
         evals += 1
-        states.append([profile_exp_integral(t, s, v, beta, hot_tol)[0], theta, t, s, v, label])
+        if not t_r < math.inf:
+            raise ValueError("start %s places no profile" % label)
+        if isinstance(j, ValueOverflowError):
+            raise j
+        states.append([j, theta, t_r, s_r, v_r, label])
     states.sort(key=lambda st: st[0], reverse=True)
     best_j = states[0][0]
     trace.append(best_j)
@@ -237,56 +263,73 @@ def maximize(
     n = n_knots
     n_moves = 4 + 4 * (n - 1)
 
+    def move(k, h, theta, s, v, gap_floor):
+        """(moved, theta, s, v): move k with step h from the incumbent."""
+        theta2, s2, v2 = theta, s, v
+        moved = True
+        if k < 2:
+            theta2 = min(theta * math.exp(h if k == 0 else -h), ceiling)
+            moved = theta2 != theta
+        elif k < 4:
+            s2 = s * math.exp(h if k == 2 else -h)
+        elif k < 4 + 2 * (n - 1):
+            i = 1 + (k - 4) // 2
+            sign = 1.0 if (k - 4) % 2 == 0 else -1.0
+            scale = max(float(v[-1]), 1e-3)
+            v2 = v.copy()
+            v2[i] = max(v2[i] + sign * h * scale, 0.0)
+        else:
+            k2 = k - 4 - 2 * (n - 1)
+            i = 1 + k2 // 2
+            sign = 1.0 if k2 % 2 == 0 else -1.0
+            width = max(float(s[-1]) / n, 1e-6)
+            cand = float(s[i]) + sign * h * width
+            lo = float(s[i - 1]) + gap_floor
+            hi = float(s[i + 1]) - gap_floor if i + 1 < n else math.inf
+            cand = min(max(cand, lo), hi)
+            moved = cand != s[i] and lo <= cand <= hi
+            s2 = s.copy()
+            s2[i] = cand
+        return moved, theta2, s2, v2
+
     def ascend(state, stop_evals):
         nonlocal best_j, evals
         j, theta, t, s, v = state[:5]
         steps = np.full(n_moves, 0.3)
         gap_floor = 1e-9 * (1.0 + float(s[-1]))
+        size = _BATCH_MIN
         while evals < stop_evals and evals < budget:
-            for k in rng.permutation(n_moves):
-                if evals >= stop_evals or evals >= budget:
-                    break
-                h = steps[k]
-                theta2, s2, v2 = theta, s, v
-                moved = True
-                if k < 2:
-                    theta2 = min(theta * math.exp(h if k == 0 else -h), ceiling)
-                    moved = theta2 != theta
-                elif k < 4:
-                    s2 = s * math.exp(h if k == 2 else -h)
-                elif k < 4 + 2 * (n - 1):
-                    i = 1 + (k - 4) // 2
-                    sign = 1.0 if (k - 4) % 2 == 0 else -1.0
-                    scale = max(float(v[-1]), 1e-3)
-                    v2 = v.copy()
-                    v2[i] = max(v2[i] + sign * h * scale, 0.0)
-                else:
-                    k2 = k - 4 - 2 * (n - 1)
-                    i = 1 + k2 // 2
-                    sign = 1.0 if k2 % 2 == 0 else -1.0
-                    width = max(float(s[-1]) / n, 1e-6)
-                    cand = float(s[i]) + sign * h * width
-                    lo = float(s[i - 1]) + gap_floor
-                    hi = float(s[i + 1]) - gap_floor if i + 1 < n else math.inf
-                    cand = min(max(cand, lo), hi)
-                    moved = cand != s[i] and lo <= cand <= hi
-                    s2 = s.copy()
-                    s2[i] = cand
-                # a share at the ceiling or without L2 budget, like a
-                # bracketed knot, fails without an evaluation
-                placed = _place(constraint, theta2, s2, v2) if moved else None
-                j2 = -math.inf
-                if placed is not None:
-                    t2, v2 = placed
-                    evals += 1
-                    j2 = profile_exp_integral(t2, s2, v2, beta, hot_tol)[0]
-                if j2 > j:
-                    j, theta, t, s, v = j2, theta2, t2, s2, v2
-                    steps[k] = min(steps[k] * 2.0, 2.0)
-                    if j > best_j:
-                        best_j = j
-                        trace.append(j)
-                else:
+            perm = rng.permutation(n_moves).tolist()
+            pos = 0
+            while pos < n_moves and evals < stop_evals and evals < budget:
+                # the next moves from the incumbent, placed and scored as one
+                # stack; a move spends at most one evaluation, so the batch
+                # fits the budget
+                batch = perm[pos : pos + min(size, stop_evals - evals, budget - evals)]
+                cands = [move(k, steps[k], theta, s, v, gap_floor) for k in batch]
+                moved, theta2, s2, v2 = zip(*cands)
+                s2 = np.array(s2)
+                t2, v2 = _place(constraint, np.array(theta2), s2, np.array(v2))
+                j2 = _stack_values(t2, s2, v2, beta, hot_tol)
+                size = min(2 * size, _BATCH_MAX)
+                for r, k in enumerate(batch):
+                    pos += 1
+                    # a share at the ceiling or without L2 budget, like a
+                    # bracketed knot, fails without an evaluation
+                    placed = moved[r] and t2[r] < math.inf
+                    if placed:
+                        evals += 1
+                        if isinstance(j2[r], ValueOverflowError):
+                            raise j2[r]
+                    if placed and j2[r] > j:
+                        j, theta, t, s, v = j2[r], theta2[r], float(t2[r]), s2[r], v2[r]
+                        steps[k] = min(steps[k] * 2.0, 2.0)
+                        if j > best_j:
+                            best_j = j
+                            trace.append(j)
+                        # the rest of the batch moved from the old incumbent
+                        size = _BATCH_MIN
+                        break
                     steps[k] = max(steps[k] * 0.5, 1e-7)
         state[:5] = j, theta, t, s, v
 

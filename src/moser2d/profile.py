@@ -223,21 +223,32 @@ class FunctionalReport:
         }
 
 
-def _dirichlet_sq(v, ds, dv) -> float:
-    """4 pi sum (dv)^2 / ds; inf at a jump (a zero-length piece or v_0 > 0)."""
+def _dirichlet_sq(v, ds, dv):
+    """4 pi sum (dv)^2 / ds; inf at a jump (a zero-length piece or v_0 > 0).
+    A stack of profiles gives one value per row."""
     # a zero-length piece is a jump: knots never repeat without one
-    if v[0] > 0.0 or not ds.all():
+    if v.ndim > 1:
+        if ((v[:, 0] > 0.0) | ~ds.all(axis=1)).any():
+            return np.array([_dirichlet_sq(*x) for x in zip(v, ds, dv)])
+    elif v[0] > 0.0 or not ds.all():
         return math.inf
-    return float(_4PI * (dv * dv / ds).sum())
+    d = _4PI * (dv * dv / ds).sum(axis=-1)
+    return d if v.ndim > 1 else float(d)
 
 
-def _l2_sq(t, s, v, ds, dv) -> float:
-    """T int U(s)^2 e^{-s} ds from segment_moments; zero-length pieces add nothing."""
-    a, p0, v_end = s[:-1], v[:-1], float(v[-1])
+def _l2_sq(t, s, v, ds, dv):
+    """T int U(s)^2 e^{-s} ds from segment_moments; zero-length pieces add nothing.
+    A stack of profiles with one t gives one value per row."""
     # one reduction finds both rare cases: jumps (ds = 0), and pieces with
     # ds <= 1e-154 v_end, the only ones where m = dv / ds can reach 1e154
-    # and m * m overflow
-    rare = ds.size > 0 and not ds.min() > v_end * 1e-154
+    # and m * m overflow; a stack with either is summed row by row
+    if s.ndim > 1:
+        if not (ds.min(axis=1, initial=math.inf) > v[:, -1] * 1e-154).all():
+            return np.array([_l2_sq(t, *x) for x in zip(s, v, ds, dv)])
+        rare = False
+    else:
+        rare = ds.size > 0 and not ds.min() > float(v[-1]) * 1e-154
+    a, p0 = s[..., :-1], v[..., :-1]
     if rare:
         lin = ds > 0.0
         a, p0, ds, dv = a[lin], p0[lin], ds[lin], dv[lin]
@@ -247,8 +258,20 @@ def _l2_sq(t, s, v, ds, dv) -> float:
     else:
         m = dv / ds
         terms = p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3
-    acc = float((np.exp(-a) * terms).sum())
-    return t * (acc + v_end ** 2 * math.exp(-float(s[-1])))
+    acc = (np.exp(-a) * terms).sum(axis=-1)
+    if s.ndim == 1:
+        return t * (float(acc) + _plateau_sq(float(s[-1]), float(v[-1])))
+    ends = zip(acc.tolist(), s[:, -1].tolist(), v[:, -1].tolist())
+    return np.array([t * (x + _plateau_sq(s_end, v_end)) for x, s_end, v_end in ends])
+
+
+def _plateau_sq(s_end, v_end):
+    """v_end^2 e^-s_end, the plateau's integral over T, on floats via math."""
+    try:
+        return v_end ** 2 * math.exp(-s_end)
+    except OverflowError:
+        # v_end > 1.34e154: the square alone leaves binary64
+        return v_end * (v_end * math.exp(-s_end))
 
 
 def _steep_terms(p0, ds, dv, p1, p2, p3):

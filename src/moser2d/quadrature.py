@@ -19,7 +19,8 @@ beyond binary64 range raise ValueOverflowError naming the knot.
 
 Profiles of up to _SHORT_PIECES pieces, such as the one- and two-piece
 family members, are summed piece by piece on Python floats, longer ones on
-arrays; both paths give bit-identical results.
+arrays; both paths give bit-identical results.  The array path also sums a
+stack of profiles at once, giving each row the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -121,14 +122,16 @@ def _series(rw0, h, length, remainder):
         coef[:, 2] = 0.5 * a * a + g1 * c
     # L^r e^-L is negligible past L = 1000, where L^40 could overflow
     head = np.minimum(length, 1e3)[:, None] ** _J[:-2] * np.exp(-length)[:, None]
+    # P(41, L) underflows to 0 below L ~ 2e-7: its log is -inf (callers silence it)
     top = np.log(gammainc(_SERIES_TERMS + 1.0, length))[:, None] + _LOG_FACT[: order + 1]
     top -= _J[: order + 1] * np.log(length)[:, None]
     scaled = head @ _TAIL[:, : order + 1] + np.exp(top)
     return np.sum(coef * scaled, axis=1), tail * scaled[:, -1]
 
 
-def _linear(log_w, v0, m, length, beta, tol, remainder):
-    """(log piece, log error bound) of linear pieces; log_w = log T - s."""
+def _linear(log_w, v0, m, length, beta, tol, remainder, row):
+    """(log piece, log error bound) of linear pieces; log_w = log T - s, and row
+    numbers each piece's profile, nondecreasing.  The caller silences log(0)."""
     rb = math.sqrt(beta)
     rbm, rw0 = rb * m, rb * v0
     w0, z1 = rw0 * rw0, rw0 - 0.5 / rbm
@@ -151,19 +154,29 @@ def _linear(log_w, v0, m, length, beta, tol, remainder):
     scale = log_w + w0 + top - log_rbm
     # rounding: _TERM_ULPS ulps per term, one per unit of each exponent summand
     size = _TERM_ULPS + np.abs(log_w) + w0 + top + np.abs(log_rbm)
-    with np.errstate(divide="ignore"):
-        log_piece = scale + np.log(np.maximum(net, 0.0))
-        log_err = scale + np.log(_EPS * mag * size)
-        # _TERM_ULPS eps kappa > tol, written so that net <= 0 and nan route too
-        routed = ~(_TERM_ULPS * _EPS * mag <= tol * net)
+    log_piece = scale + np.log(np.maximum(net, 0.0))
+    log_err = scale + np.log(_EPS * mag * size)
+    # _TERM_ULPS eps kappa > tol, written so that net <= 0 and nan route too
+    routed = ~(_TERM_ULPS * _EPS * mag <= tol * net)
+    if routed.any():
+        routed &= h * (2.0 * rw0 + h) <= _SERIES_MAX_RISE
         if routed.any():
-            routed &= h * (2.0 * rw0 + h) <= _SERIES_MAX_RISE
-            if routed.any():
-                total, trunc = _series(rw0[routed], h[routed], length[routed], remainder)
-                scale = log_w[routed] + w0[routed]
-                log_piece[routed] = scale + np.log(total)
-                err = _EPS * total * (_TERM_ULPS + np.abs(log_w[routed]) + w0[routed]) + trunc
-                log_err[routed] = scale + np.log(err)
+            # one _series call per profile: its truncation order and matrix
+            # product depend on the batch
+            sel = routed.nonzero()[0]
+            r = row[sel]
+            cut = [0, sel.size]
+            if r[0] != r[-1]:
+                cut = np.searchsorted(r, np.arange(r[-1] + 2)).tolist()
+            total, trunc = np.empty(sel.size), np.empty(sel.size)
+            for a, b in zip(cut, cut[1:]):
+                if a < b:
+                    i = sel[a:b]
+                    total[a:b], trunc[a:b] = _series(rw0[i], h[i], length[i], remainder)
+            scale = log_w[routed] + w0[routed]
+            log_piece[routed] = scale + np.log(total)
+            err = _EPS * total * (_TERM_ULPS + np.abs(log_w[routed]) + w0[routed]) + trunc
+            log_err[routed] = scale + np.log(err)
     return log_piece, log_err
 
 
@@ -189,7 +202,11 @@ def profile_exp_integral(t_support, s, v, beta, tol, kind="expm1"):
 
 def _plateau(log_t, s, v, beta, remainder):
     """(piece, error) of the plateau past the last knot, on floats via math."""
-    w = beta * float(v[-1]) ** 2
+    try:
+        w = beta * float(v[-1]) ** 2
+    except OverflowError:
+        # v_end > 1.34e154: the square alone leaves binary64, beta v_end may not
+        w = beta * float(v[-1]) * float(v[-1])
     g = float(_g_scaled(w, remainder))
     if g <= 0.0:
         return 0.0, 0.0
@@ -203,43 +220,116 @@ def _plateau(log_t, s, v, beta, remainder):
 
 def _array_pieces(log_t, s, v, beta, tol, remainder):
     """(sum, error bound) of a profile's pieces and plateau, piece kinds batched on arrays."""
-    ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
-    total = err = 0.0
+    total, err, blame = _stack_pieces(np.array([log_t]), s[None], v[None], beta, tol, remainder)
+    if blame[0] is not None:
+        raise ValueOverflowError(*blame[0])
+    return float(total[0]), float(err[0])
+
+
+def _stack_pieces(log_t, s, v, beta, tol, remainder):
+    """(total, err, blame) of each row of a stack of profiles with one knot
+    count, row r with log T = log_t[r]: _array_pieces on the row, bit for bit.
+
+    blame[r] is None or the (knot_index, s, v) of the ValueOverflowError
+    that _array_pieces raises; nothing raises here.  Each row sums and
+    routes its own pieces, so its bits do not depend on the other rows.
+    """
+    n, k = s.shape
+    ds, dv = s[:, 1:] - s[:, :-1], v[:, 1:] - v[:, :-1]
+    total, err = np.zeros(n), np.zeros(n)
+    blame = [None] * n
+    # the pieces of all rows, flat in row order: piece i of row r starts at
+    # flat knot i + r
+    const = ((ds > 0.0) & (dv == 0.0) & (v[:, :-1] > 0.0)).ravel()
+    lin = ((ds > 0.0) & (dv > 0.0)).ravel()
+    ds, dv, s_flat, v_flat = ds.ravel(), dv.ravel(), s.ravel(), v.ravel()
 
     # constant segments and the plateau are closed form; jumps have no measure
-    const = (ds > 0.0) & (dv == 0.0) & (v[:-1] > 0.0)
-    if const.any():
-        idx = const.nonzero()[0]
-        w = beta * v[idx] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # a row past binary64 is summed anyway, unwarned, and then blamed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if const.any():
+            idx = const.nonzero()[0]
+            row = idx // (k - 1)
+            knot = idx + row
+            w = beta * v_flat[knot] ** 2
+            log_w = log_t[row] - s_flat[knot]
             lg = np.log(_g_scaled(w, remainder) * -np.expm1(-ds[idx]))
-            lp = log_t - s[idx] + w + lg
-            if (lp >= _LOG_MAX).any():
-                j = int(idx[lp.argmax()])
-                raise ValueOverflowError(j, s[j], v[j])
+            lp = log_w + w + lg
+            _blame(blame, lp, row, knot, s, v)
             piece = np.exp(lp)
             # a piece whose g underflowed is 0 times inf: it adds no error
             # eps first, as on the plateau: a piece near the binary64 maximum
             # times its ulp count would overflow
-            terms = _EPS * piece * (_TERM_ULPS + np.abs(log_t - s[idx]) + w - lg)
+            terms = _EPS * piece * (_TERM_ULPS + np.abs(log_w) + w - lg)
             terms[np.isnan(terms)] = 0.0
-            err += float(terms.sum())
-        total += float(piece.sum())
-    piece, piece_err = _plateau(log_t, s, v, beta, remainder)
-    total += piece
-    err += piece_err
+            piece, terms = _row_sums(row, n, piece, terms)
+            total += piece
+            err += terms
+        for r, lt in enumerate(log_t.tolist()):
+            try:
+                piece, piece_err = _plateau(lt, s[r], v[r], beta, remainder)
+            except ValueOverflowError as exc:
+                blame[r] = blame[r] or (exc.knot_index, exc.knot_s, exc.knot_v)
+                piece = piece_err = math.inf
+            total[r] += piece
+            err[r] += piece_err
 
-    lin = (ds > 0.0) & (dv > 0.0)
-    if lin.any():
-        idx = lin.nonzero()[0]
-        lp, le = _linear(log_t - s[idx], v[idx], dv[idx] / ds[idx], ds[idx], beta, tol, remainder)
-        if (lp >= _LOG_MAX).any():
+        if lin.any():
+            idx = lin.nonzero()[0]
+            row = idx // (k - 1)
+            knot = idx + row
+            length = ds[idx]
+            lp, le = _linear(log_t[row] - s_flat[knot], v_flat[knot], dv[idx] / length,
+                             length, beta, tol, remainder, row)
             # the exponent is convex along a piece: its right knot is to blame
-            j = int(idx[lp.argmax()]) + 1
-            raise ValueOverflowError(j, s[j], v[j])
-        total += float(np.exp(lp).sum())
-        err += float(np.exp(np.minimum(le, _LOG_MAX)).sum())
-    return total, err
+            _blame(blame, lp, row, knot + 1, s, v)
+            piece, terms = _row_sums(row, n, np.exp(lp), np.exp(np.minimum(le, _LOG_MAX)))
+            total += piece
+            err += terms
+    return total, err, blame
+
+
+def _blame(blame, lp, row, knot, s, v):
+    """Blame the flat knot of the largest log piece lp in each row that overflows."""
+    over = lp >= _LOG_MAX
+    for r in np.unique(row[over]).tolist() if over.any() else ():
+        if blame[r] is None:
+            at = row == r
+            j = int(knot[at][lp[at].argmax()])
+            blame[r] = (j - r * s.shape[1], s.flat[j], v.flat[j])
+
+
+def _row_sums(row, n, *xs):
+    """The sum of each of n rows' entries of every x in xs, whose entries
+    come in row order, row[i] for entry i.  Rows with one count are summed
+    as the rows of a 2-d array, which numpy sums as it would each row alone."""
+    if n == 1:
+        return [x.sum(keepdims=True) for x in xs]
+    count = np.bincount(row, minlength=n)
+    if (count == count[0]).all():
+        return [x.reshape(n, -1).sum(axis=1) for x in xs]
+    out = [np.zeros(n) for _ in xs]
+    start = np.cumsum(count) - count
+    for c in set(count.tolist()) - {0}:
+        rows = (count == c).nonzero()[0]
+        at = start[rows, None] + np.arange(c)
+        for o, x in zip(out, xs):
+            o[rows] = x[at].sum(axis=1)
+    return out
+
+
+def _stack_values(t_support, s, v, beta, tol):
+    """profile_exp_integral(t_support[r], s[r], v[r], beta, tol)[0] of each
+    row of a stack, bit for bit, or the ValueOverflowError it would raise."""
+    log_t = np.array([math.log(t) for t in t_support])
+    total, _, blame = _stack_pieces(log_t, s, v, beta, tol, False)
+    out = total.tolist()
+    for r, b in enumerate(blame):
+        if b is None and math.isinf(out[r]):
+            b = (s.shape[1] - 1, s[r, -1], v[r, -1])
+        if b is not None:
+            out[r] = ValueOverflowError(*b)
+    return out
 
 
 def _log(x):
@@ -319,7 +409,8 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
             routed.append((len(lps) - 1, log_w, w0))
             batch.append((rw0, h, length))
     if routed:
-        total_r, trunc = _series(*np.array(batch).T, remainder)
+        with np.errstate(divide="ignore"):
+            total_r, trunc = _series(*np.array(batch).T, remainder)
         for (k, log_w, w0), sum_k, trunc_k in zip(routed, total_r.tolist(), trunc.tolist()):
             scale = log_w + w0
             lps[k] = scale + _log(sum_k)

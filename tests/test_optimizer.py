@@ -1,5 +1,6 @@
 """Constraint sets, the deterministic maximizer, and the scan helpers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from moser2d import (
     ConstraintSet,
     OptimizationResult,
     RadialProfile,
+    ValueOverflowError,
     blowup_scan,
     dirichlet_norm_sq,
     family_starts,
@@ -20,6 +22,7 @@ from moser2d import (
     tm_functional,
     vanishing_probe,
 )
+from moser2d import optimizer
 from moser2d.optimizer import _place
 
 from conftest import brute_j, rel_err
@@ -249,3 +252,115 @@ def test_vanishing_probe_validation():
         vanishing_probe(c, math.pi, [])
     with pytest.raises(ValueError):
         vanishing_probe(c, math.pi, [1.5])
+
+
+def test_place_stack_rows_equal_one_row_calls():
+    # a stack of 2-40 shapes places each row as _place places it alone, bit
+    # for bit: unsorted rows pool, and rows that place nothing get t = inf
+    rng = np.random.default_rng(12)
+    pooled = empty = 0
+    for c in _NON_DEFAULT + (ConstraintSet("reduced"), ConstraintSet("ruf")):
+        ceiling = (1.0 - c.delta) ** 2 if c.kind == "reduced" else 1.0
+        for _ in range(20):
+            n, rows = int(rng.integers(2, 40)), int(rng.integers(2, 41))
+            s = np.concatenate((np.zeros((rows, 1)), np.cumsum(rng.exponential(0.5, (rows, n - 1)), axis=1)), axis=1)
+            v = np.sort(rng.uniform(0.0, 1.0, (rows, n)), axis=1)
+            v[::3, int(rng.integers(0, n))] += rng.uniform(-1.0, 1.0)
+            v[::7] = 0.0
+            theta = ceiling * rng.uniform(1e-4, 1.0, rows)
+            theta[::5] = ceiling
+            t, w = _place(c, theta, s, v)
+            for r in range(rows):
+                one = _place(c, float(theta[r]), s[r], v[r])
+                if one is None:
+                    empty += 1
+                    assert t[r] == math.inf
+                else:
+                    pooled += not (v[r][1:] >= v[r][:-1]).all()
+                    assert t[r] == one[0] and np.array_equal(w[r], one[1])
+    assert pooled > 50 and empty > 50
+
+
+class _Reads(list):
+    """A list that records which rows the search reads."""
+
+    def __init__(self, values, read):
+        super().__init__(values)
+        self.read = read
+
+    def __getitem__(self, r):
+        self.read.add(r)
+        return super().__getitem__(r)
+
+
+def _batches(monkeypatch, inject=()):
+    """Run a small maximize and return it with the argument t_support and
+    the rows read of every batch scored; batch b's values at rows inject[b]
+    become ValueOverflowError."""
+    score, batches = optimizer._stack_values, []
+
+    def recording(t_support, s, v, beta, tol):
+        values = score(t_support, s, v, beta, tol)
+        for r in dict(inject).get(len(batches), ()):
+            values[r] = ValueOverflowError(s.shape[1] - 1, s[r, -1], v[r, -1])
+        batches.append((t_support, set()))
+        return _Reads(values, batches[-1][1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_stack_values", recording)
+        res = maximize(ConstraintSet("ruf"), _4PI, n_knots=8, budget=300, seed=1)
+    return res, batches
+
+
+def test_maximize_discards_an_overflow_past_an_acceptance(monkeypatch):
+    res, batches = _batches(monkeypatch)
+    # placed rows the walk never read follow an acceptance in their batch
+    discarded = {b: [r for r in range(len(t)) if r > max(read) and t[r] < math.inf]
+                 for b, (t, read) in enumerate(batches) if read}
+    discarded = {b: rows for b, rows in discarded.items() if rows}
+    assert len(discarded) >= 3
+    again, _ = _batches(monkeypatch, discarded.items())
+    assert again.best_value == res.best_value
+    assert again.objective_trace == res.objective_trace
+    assert again.n_evaluations == res.n_evaluations
+    # an overflow in a row the walk reads still raises
+    b = next(iter(discarded))
+    with pytest.raises(ValueOverflowError):
+        _batches(monkeypatch, [(b, [max(batches[b][1])])])
+
+
+def _fingerprint(res):
+    p = res.best_profile
+    text = " ".join([res.best_value.hex(), *(x.hex() for x in res.objective_trace), p.t_support.hex(),
+                     *(float(x).hex() for x in p.s), *(float(x).hex() for x in p.v),
+                     str(res.n_evaluations), res.feasibility_residuals["start"]])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (kind, n_knots, seed, budget): (best_value.hex(), _fingerprint), recorded
+# from the search that tries one move at a time
+_PINNED = {
+    ("reduced", 32, 1, 500): ("0x1.80cf7fac64554p+3", "9ae8554e8c5e571c"),
+    ("reduced", 32, 2, 500): ("0x1.81f8914098ec4p+3", "82b3bef0657840eb"),
+    ("reduced", 64, 1, 500): ("0x1.811d87b8a2fa0p+3", "6b306d34071fcc8e"),
+    ("reduced", 64, 2, 500): ("0x1.8001bb32f864ep+3", "121ec63a65410193"),
+    ("ruf", 32, 1, 500): ("0x1.921b42a490ec1p+3", "0d74c7fa080cceba"),
+    ("ruf", 32, 2, 500): ("0x1.921b42a4903d8p+3", "08e32e0a5cf66b73"),
+    ("ruf", 64, 1, 500): ("0x1.921b0817c5323p+3", "99d37edf4b6dd5c3"),
+    ("ruf", 64, 2, 500): ("0x1.921b0817c7003p+3", "3f23f64fbf28d421"),
+    ("norm_sum", 32, 1, 500): ("0x1.7ccc24179d6c2p+3", "ba0112ba8bd5a7b0"),
+    ("norm_sum", 32, 2, 500): ("0x1.7ccc24179cc6ep+3", "d285af58fa4a163a"),
+    ("norm_sum", 64, 1, 500): ("0x1.7ccbeca521056p+3", "6ae662e0e645da05"),
+    ("norm_sum", 64, 2, 500): ("0x1.7ccbeca521e55p+3", "e10dcc17ac6f17f8"),
+    ("ruf", 32, 0, 5000): ("0x1.921fb53f79c8ep+3", "e120fe3dd456220c"),
+}
+
+
+def test_maximize_is_pinned_bit_for_bit():
+    # the hex of the value, the trace, the support and every knot, the
+    # evaluation count and the start: any change to the search's arithmetic
+    # shows here
+    for (kind, n, seed, budget), want in _PINNED.items():
+        beta = 2.0 * math.pi if kind == "reduced" else _4PI
+        res = maximize(ConstraintSet(kind), beta, n_knots=n, budget=budget, seed=seed)
+        assert (res.best_value.hex(), _fingerprint(res)) == want, (kind, n, seed, budget)

@@ -231,6 +231,17 @@ def test_l2_of_steep_pieces_is_finite(s, v):
         assert rel_err(l2_norm_sq(p), want) < 1e-14
 
 
+def test_l2_past_the_square_root_of_binary64_max():
+    # v_end > 1.34e154 squares past binary64 as a Python float: the norm is
+    # inf where it is, and finite where e^-s brings the plateau back
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert l2_norm_sq(RadialProfile(1.0, [0.0, 1.0], [0.0, 1e200])) == math.inf
+        # int_0^400 (m y)^2 e^-y dy = 2 m^2 P(3, 400); the plateau adds 2e136
+        got = l2_norm_sq(RadialProfile(1.0, [0.0, 400.0], [0.0, 1e155]))
+    assert rel_err(got, 2.0 * (1e155 / 400.0) ** 2) < 1e-14
+
+
 def test_tm_functional_matches_brute_quadrature():
     rng = np.random.default_rng(12)
     for _ in range(40):
