@@ -78,8 +78,15 @@ class ConstraintSet:
                 raise ValueError("delta must lie in [0, 1)")
             if not self.K > 0.0:
                 raise ValueError("K must be positive")
-        if self.kind == "ruf" and not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+            # the L2 budget K^2 must be a positive binary64 number
+            if not 0.0 < float(self.K) * float(self.K) < math.inf:
+                raise ValueError("K must be positive with K^2 in binary64 range, not %r" % (self.K,))
+        if self.kind == "ruf":
+            if not self.tau > 0.0:
+                raise ValueError("tau must be positive")
+            # the L2 budget (1 - theta)/tau must be a positive binary64 number
+            if not 0.0 < 1.0 / float(self.tau) < math.inf:
+                raise ValueError("tau must be positive with 1/tau in binary64 range, not %r" % (self.tau,))
 
     def residual(self, p: RadialProfile) -> float:
         """Largest constraint violation; <= 0 means feasible."""
@@ -133,20 +140,39 @@ class OptimizationResult:
 
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators with unit weights: nondecreasing output."""
-    if (y[1:] >= y[:-1]).all():
-        return y.astype(float)
-    vals = []
-    counts = []
-    for x in y.tolist():
-        vals.append(x)
+    """Pool-adjacent-violators with unit weights: nondecreasing output.
+
+    Only a window pools.  It starts at the first descent, with the sorted
+    values before it as singletons that join a block only when it pools back
+    past them, and ends at the first value after the last descent that
+    does not pool; the blocks and their means are those of the full scan.
+    """
+    out = y.astype(float)
+    down = (~(y[1:] >= y[:-1])).nonzero()[0]
+    if not down.size:
+        return out
+    x, last = y.tolist(), int(down[-1])
+    lo = int(down[0]) + 1
+    vals, counts = [], []
+    for end in range(lo, len(x)):
+        vals.append(x[end])
         counts.append(1)
-        while len(vals) > 1 and vals[-2] > vals[-1]:
+        while True:
+            if len(vals) == 1 and lo > 0 and x[lo - 1] > vals[0]:
+                # the block pools back past a sorted value before the window
+                lo -= 1
+                vals.insert(0, x[lo])
+                counts.insert(0, 1)
+            elif len(vals) == 1 or not vals[-2] > vals[-1]:
+                break
             c = counts.pop()
             t = vals.pop()
             vals[-1] = (vals[-1] * counts[-1] + t * c) / (counts[-1] + c)
             counts[-1] += c
-    return np.repeat(vals, counts)
+        if end > last and counts[-1] == 1:
+            break
+    out[lo : end + 1] = np.array(vals).repeat(counts)
+    return out
 
 
 def _ceiling(c: ConstraintSet) -> float:

@@ -228,10 +228,16 @@ def _dirichlet_sq(v, ds, dv):
     A stack of profiles gives one value per row."""
     # a zero-length piece is a jump: knots never repeat without one
     if v.ndim > 1:
-        if ((v[:, 0] > 0.0) | ~ds.all(axis=1)).any():
+        # a stack with a jump, or with a row past v_end = 1e154, goes row by row
+        if ((v[:, 0] > 0.0) | ~ds.all(axis=1) | (v[:, -1] > 1e154)).any():
             return np.array([_dirichlet_sq(*x) for x in zip(v, ds, dv)])
     elif v[0] > 0.0 or not ds.all():
         return math.inf
+    elif v[-1] > 1e154:
+        # 0 <= dv <= v_end: only here can dv * dv leave binary64, to inf,
+        # and only here the sum pays for silencing that
+        with np.errstate(over="ignore"):
+            return float(_4PI * (dv * dv / ds).sum())
     d = _4PI * (dv * dv / ds).sum(axis=-1)
     return d if v.ndim > 1 else float(d)
 

@@ -20,7 +20,9 @@ beyond binary64 range raise ValueOverflowError naming the knot.
 Profiles of up to _SHORT_PIECES pieces, such as the one- and two-piece
 family members, are summed piece by piece on Python floats, longer ones on
 arrays; both paths give bit-identical results.  The array path also sums a
-stack of profiles at once, giving each row the bits it would get alone.
+stack of profiles at once, giving each row the bits it would get alone; the
+series sums the routed pieces of all rows that share a truncation order and
+a routed-piece count in one pass.
 """
 
 from __future__ import annotations
@@ -53,6 +55,24 @@ _PAIR_START = np.array([(j // 2 + 1) * (j - j // 2) for j in range(_SERIES_TERMS
 # _TAIL[r, j] holds the weight j!/(j+r)!
 _TAIL = np.array([[math.exp(_LOG_FACT[j] - _LOG_FACT[j + r]) if 0 < r <= _SERIES_TERMS - j else 0.0
                    for j in range(_SERIES_TERMS + 1)] for r in range(_SERIES_TERMS + 1)])
+
+
+def _least_rise(order):
+    """The least float rise with 1e18 rise^(order/2-1) > (order/2+1)!."""
+    f, e = math.factorial(order // 2 + 1), order / 2 - 1
+    x = (f / 1e18) ** (1.0 / e)
+    while 1e18 * x**e > f:
+        x = math.nextafter(x, 0.0)
+    while not 1e18 * x**e > f:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# a batch is summed to the lowest even order J >= 4 whose tail, relative to
+# the leading term (c^2 for the remainder from v0 = 0), is at most
+# rise^(J/2-1)/(J/2+1)! < 1e-18, or to _SERIES_TERMS: J = 4 + 2 (the number
+# of these thresholds at or below its largest rise), all increasing
+_ORDER_RISE = np.array([_least_rise(j) for j in range(4, _SERIES_TERMS, 2)])
 # profiles of at most this many pieces take _short_pieces, longer ones
 # _array_pieces.  On a 2-CPU Xeon the short path costs about 2.5 us a piece
 # (4 for the remainder), the array path about 33 us (40) at any count up to
@@ -93,20 +113,38 @@ def _g_scaled(w, remainder):
     return gammainc(2.0, w) if remainder else -np.expm1(-w)
 
 
-def _series(rw0, h, length, remainder):
+def _series(rw0, h, length, remainder, row=None):
     """(sum, truncation bound) of routed pieces in units of T e^-s e^w0.
 
     With x = y/L, e^(w - w0) = exp(a x + c x^2), a = 2 sqrt(w0) h, c = h^2, and
     the piece is sum_j e_j M_j/L^j over its Taylor coefficients e_j and the
     moments M_j.  The first e_j absorb the -1 (and -w) of g: no term is negative.
+
+    row numbers each piece's profile, nondecreasing (None: one profile).
+    Each profile is summed to the order its own largest rise asks for, and
+    the profiles of one order and piece count share one pass, which gives
+    every profile the bits of a call on its pieces alone.
     """
     w0, a, c = rw0 * rw0, 2.0 * rw0 * h, h * h
-    # the lowest order whose tail, relative to the leading term (c^2 for the
-    # remainder from v0 = 0), is at most rise^(J/2-1)/(J/2+1)! < 1e-18
-    rise = float(np.max(a + c))
-    order = 4
-    while order < _SERIES_TERMS and 1e18 * rise ** (order / 2 - 1) > math.factorial(order // 2 + 1):
-        order += 2
+    rise = a + c
+    if row is None or row[0] == row[-1]:
+        order = np.searchsorted(_ORDER_RISE, rise.max(), side="right")
+        return _series_pass(w0, a, c, length, remainder, 4 + 2 * int(order), rise.size)
+    start = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    count = np.diff(np.r_[start, row.size])
+    order = np.searchsorted(_ORDER_RISE, np.maximum.reduceat(rise, start), side="right")
+    # count < row.size: the key gives back both
+    key = order * row.size + count
+    total, trunc = np.empty(row.size), np.empty(row.size)
+    for k in np.unique(key).tolist():
+        at = np.repeat(key == k, count)
+        total[at], trunc[at] = _series_pass(w0[at], a[at], c[at], length[at], remainder,
+                                            4 + 2 * (k // row.size), k % row.size)
+    return total, trunc
+
+
+def _series_pass(w0, a, c, length, remainder, order, p):
+    """_series to one truncation order on whole profiles of p pieces each."""
     n_pair = _PAIR_START[order + 3]
     ea = a[:, None] ** _J[: order + 3] * _INV_FACT[: order + 3]
     ec = c[:, None] ** _J[: order // 2 + 2] * _INV_FACT[: order // 2 + 2]
@@ -125,7 +163,10 @@ def _series(rw0, h, length, remainder):
     # P(41, L) underflows to 0 below L ~ 2e-7: its log is -inf (callers silence it)
     top = np.log(gammainc(_SERIES_TERMS + 1.0, length))[:, None] + _LOG_FACT[: order + 1]
     top -= _J[: order + 1] * np.log(length)[:, None]
-    scaled = head @ _TAIL[:, : order + 1] + np.exp(top)
+    # numpy multiplies each profile's (p, 41) slice with the BLAS call a
+    # p-row product makes; one (G p, 41) product would round differently
+    product = head.reshape(-1, p, _SERIES_TERMS + 1) @ _TAIL[:, : order + 1]
+    scaled = product.reshape(top.shape) + np.exp(top)
     return np.sum(coef * scaled, axis=1), tail * scaled[:, -1]
 
 
@@ -161,18 +202,8 @@ def _linear(log_w, v0, m, length, beta, tol, remainder, row):
     if routed.any():
         routed &= h * (2.0 * rw0 + h) <= _SERIES_MAX_RISE
         if routed.any():
-            # one _series call per profile: its truncation order and matrix
-            # product depend on the batch
-            sel = routed.nonzero()[0]
-            r = row[sel]
-            cut = [0, sel.size]
-            if r[0] != r[-1]:
-                cut = np.searchsorted(r, np.arange(r[-1] + 2)).tolist()
-            total, trunc = np.empty(sel.size), np.empty(sel.size)
-            for a, b in zip(cut, cut[1:]):
-                if a < b:
-                    i = sel[a:b]
-                    total[a:b], trunc[a:b] = _series(rw0[i], h[i], length[i], remainder)
+            # every profile's routed pieces get the bits of their own call
+            total, trunc = _series(rw0[routed], h[routed], length[routed], remainder, row[routed])
             scale = log_w[routed] + w0[routed]
             log_piece[routed] = scale + np.log(total)
             err = _EPS * total * (_TERM_ULPS + np.abs(log_w[routed]) + w0[routed]) + trunc
@@ -345,8 +376,8 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
     Every operation is the array path's, in its order, including the
     transcendentals: numpy's scalar ufuncs, since math.exp and math.log
     round differently.  Sums run left to right, as numpy's do below 8
-    terms, and the routed pieces share one _series call, whose truncation
-    order depends on the largest rise in its batch.
+    terms, and the routed pieces go to _series as one profile, as the
+    array path sends them: the truncation order follows their largest rise.
     """
     s, v = s.tolist(), v.tolist()
     const, lin = [], []

@@ -207,6 +207,22 @@ def window_quasinorm_of_steps(values, areas) -> float:
     return best
 
 
+def pool_adjacent_violators(y) -> np.ndarray:
+    # unit-weight isotonic regression by one scan over every value: push it
+    # as a block, then merge the top two blocks while they descend, into
+    # their count-weighted mean
+    vals, counts = [], []
+    for x in np.asarray(y).tolist():
+        vals.append(x)
+        counts.append(1)
+        while len(vals) > 1 and vals[-2] > vals[-1]:
+            c = counts.pop()
+            t = vals.pop()
+            vals[-1] = (vals[-1] * counts[-1] + t * c) / (counts[-1] + c)
+            counts[-1] += c
+    return np.repeat(np.array(vals, dtype=float), counts)
+
+
 def rel_err(got: float, want: float) -> float:
     if want == 0.0:
         return abs(got)

@@ -25,7 +25,7 @@ from moser2d import (
 from moser2d import optimizer
 from moser2d.optimizer import _place
 
-from conftest import brute_j, rel_err
+from conftest import brute_j, pool_adjacent_violators, rel_err
 
 _4PI = 4.0 * math.pi
 
@@ -42,6 +42,21 @@ def test_constraint_set_validation():
     with pytest.raises(ValueError):
         ConstraintSet("ruf", tau=0.0)
     assert ConstraintSet("norm_sum").kind == "norm_sum"
+
+
+def test_constraint_set_rejects_budgets_outside_binary64():
+    # K^2 or 1/tau that overflows or vanishes leaves no L2 budget to place
+    # a start on; the constructor says so, with the old messages as prefixes
+    for big_k in (1e160, math.inf, 1e-200):
+        with pytest.raises(ValueError, match="^K must be positive"):
+            ConstraintSet("reduced", K=big_k)
+    for tau in (1e-320, math.inf):
+        with pytest.raises(ValueError, match="^tau must be positive"):
+            ConstraintSet("ruf", tau=tau)
+    # budgets just inside binary64 still construct
+    assert ConstraintSet("reduced", K=1e154).l2_budget(0.5) < math.inf
+    assert ConstraintSet("reduced", K=1e-160).l2_budget(0.5) > 0.0
+    assert ConstraintSet("ruf", tau=1e-300).l2_budget(0.5) < math.inf
 
 
 def test_constraint_residuals_and_feasibility():
@@ -252,6 +267,21 @@ def test_vanishing_probe_validation():
         vanishing_probe(c, math.pi, [])
     with pytest.raises(ValueError):
         vanishing_probe(c, math.pi, [1.5])
+
+
+def test_windowed_isotonic_matches_the_full_scan():
+    # _isotonic pools only around the descents; a scan over every value
+    # gives the same blocks and means, bit for bit, also through nan and inf
+    rng = np.random.default_rng(14)
+    specials = [math.nan, math.inf, -math.inf]
+    for trial in range(4000):
+        n = int(rng.integers(1, 70))
+        # sorted values, with ties in every fourth array
+        y = np.sort(rng.integers(0, 6, n).astype(float) if trial % 4 == 0 else rng.normal(size=n))
+        for _ in range(trial % 4):
+            i = int(rng.integers(0, n))
+            y[i] = specials[int(rng.integers(0, 3))] if rng.random() < 0.15 else y[i] + rng.normal()
+        assert optimizer._isotonic(y).tobytes() == pool_adjacent_violators(y).tobytes(), y
 
 
 def test_place_stack_rows_equal_one_row_calls():

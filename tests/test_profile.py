@@ -18,6 +18,7 @@ from moser2d import (
     scale_dilate,
     tm_functional,
 )
+from moser2d.profile import _dirichlet_sq
 from moser2d.quadrature import profile_exp_integral
 
 from conftest import (
@@ -240,6 +241,19 @@ def test_l2_past_the_square_root_of_binary64_max():
         # int_0^400 (m y)^2 e^-y dy = 2 m^2 P(3, 400); the plateau adds 2e136
         got = l2_norm_sq(RadialProfile(1.0, [0.0, 400.0], [0.0, 1e155]))
     assert rel_err(got, 2.0 * (1e155 / 400.0) ** 2) < 1e-14
+
+
+def test_dirichlet_past_the_square_root_of_binary64_max():
+    # dv^2 leaves binary64 past v_end = 1.34e154: the energy is inf, unwarned,
+    # one profile at a time or in a stack
+    p = RadialProfile(1.0, [0.0, 1.0], [0.0, 1e200])
+    v = np.array([[0.0, 1e200], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dirichlet_norm_sq(p) == math.inf
+        assert _dirichlet_sq(v, np.ones((2, 1)), v[:, 1:]).tolist() == [math.inf, 4.0 * PI]
+        with pytest.raises(ValueOverflowError):
+            tm_functional(p, 4.0 * PI)
 
 
 def test_tm_functional_matches_brute_quadrature():

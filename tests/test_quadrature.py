@@ -67,9 +67,9 @@ def test_short_path_is_bit_identical_to_array_path(tol, remainder, monkeypatch):
     batches = []
     series = q._series
 
-    def recording_series(rw0, h, length, remainder):
+    def recording_series(rw0, h, length, remainder, row=None):
         batches.append(h * (2.0 * rw0 + h))
-        return series(rw0, h, length, remainder)
+        return series(rw0, h, length, remainder, row)
 
     monkeypatch.setattr(q, "_series", recording_series)
     rng = np.random.default_rng(20)
@@ -127,12 +127,15 @@ _OVERFLOWS = [
 def test_stack_rows_equal_one_row_calls(remainder, monkeypatch):
     # _stack_pieces on 2-40 rows gives each row what _array_pieces gives it
     # alone, bit for bit, and the same blame where it overflows
-    rises = []
+    rises, served = [], []
     series = q._series
 
-    def recording_series(rw0, h, length, remainder):
-        rises.append(float(np.max(h * (2.0 * rw0 + h))))
-        return series(rw0, h, length, remainder)
+    def recording_series(rw0, h, length, remainder, row=None):
+        # the largest rise of each profile the call serves
+        rise, profile = h * (2.0 * rw0 + h), np.zeros(h.size, int) if row is None else row
+        rises.extend(float(rise[profile == r].max()) for r in np.unique(profile))
+        served.append(np.unique(profile).size)
+        return series(rw0, h, length, remainder, row)
 
     monkeypatch.setattr(q, "_series", recording_series)
     rng = np.random.default_rng(21)
@@ -158,9 +161,107 @@ def test_stack_rows_equal_one_row_calls(remainder, monkeypatch):
             if overflow is not None:
                 assert got[:2] == ("overflow", overflow[1])
                 blamed.add(overflow[0])
-    # stacks routed pieces of several rows, of different rise, one call each
+    # stacks routed pieces of several rows, of different rise, and one
+    # _series call served several profiles
     assert mixed > 0
+    assert max(served) >= 2
     assert blamed == {0, 1, 2}
+
+
+def _routing_knots(rng, routed, k, beta):
+    # k knots from v_0 = 0: first `routed` pieces that the series takes at
+    # tol 1e-14 (w rises by at most 1 on them), the first by 1e-12 to 0.8, so
+    # that its rise sets the truncation order, the others by less than 1e-5;
+    # then steep rises (h > 1, never routed), constant pieces and jumps
+    s, v = [0.0], [0.0]
+    for i in range(k - 1):
+        if i < routed:
+            h = 10.0 ** rng.uniform(-6.0, -0.05) if i == 0 else 10.0 ** rng.uniform(-9.0, -6.0)
+            s.append(s[-1] + float(rng.uniform(0.1, 1.0)))
+            v.append(v[-1] + h / math.sqrt(beta))
+            continue
+        r = rng.random()
+        s.append(s[-1] if r < 0.2 and len(s) > 1 and s[-1] > s[-2] else s[-1] + float(rng.uniform(0.1, 1.0)))
+        v.append(v[-1] + (0.0 if 0.2 <= r < 0.4 else float(rng.uniform(1.2, 2.0)) / math.sqrt(beta)))
+    return s, v
+
+
+@pytest.mark.parametrize("remainder", [False, True], ids=["expm1", "remainder"])
+def test_series_groups_equal_one_row_calls(remainder, monkeypatch):
+    # rows with 0, 1, 2 and 3 or more routed pieces, at several truncation
+    # orders, share _series calls: each profile in a call gets the bits of a
+    # call on its pieces alone, and each row the bits and blame of its
+    # one-row _stack_pieces call
+    groups = []
+    series = q._series
+
+    def checking_series(rw0, h, length, remainder, row=None):
+        out = series(rw0, h, length, remainder, row)
+        if row is not None and row[0] != row[-1]:
+            groups.append([])
+            for r in np.unique(row):
+                at = row == r
+                alone = series(rw0[at], h[at], length[at], remainder)
+                assert out[0][at].tobytes() == alone[0].tobytes() and out[1][at].tobytes() == alone[1].tobytes()
+                order = np.searchsorted(q._ORDER_RISE, np.max(2.0 * rw0[at] * h[at] + h[at] ** 2), side="right")
+                groups[-1].append((int(order), int(at.sum())))
+        return out
+
+    monkeypatch.setattr(q, "_series", checking_series)
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        k = int(rng.choice([5, 9, 17]))
+        beta = 1.0 if trial % 3 == 0 else 4.0 * PI
+        rows = [(RadialProfile(math.exp(rng.uniform(-4.0, 4.0)), *_routing_knots(rng, routed, k, beta)), None)
+                for routed in rng.integers(0, 5, int(rng.integers(2, 30))).tolist()]
+        for i, (make, knot) in enumerate(_OVERFLOWS if beta == 1.0 else ()):
+            if make(k) is not None:
+                rows.insert(int(rng.integers(0, len(rows) + 1)), (RadialProfile(1.0, *make(k)), knot(k)))
+        s, v = np.array([p.s for p, _ in rows]), np.array([p.v for p, _ in rows])
+        log_t = np.array([math.log(p.t_support) for p, _ in rows])
+        total, err, blame = q._stack_pieces(log_t, s, v, beta, 1e-14, remainder)
+        for r, (p, knot) in enumerate(rows):
+            got = ("overflow", *blame[r]) if blame[r] else (total[r], err[r])
+            assert got == _outcome(q._array_pieces, p, beta, 1e-14, remainder), (s[r], v[r], beta)
+            if knot is not None:
+                assert got[:2] == ("overflow", knot)
+    counts = {c for g in groups for _, c in g}
+    assert {1, 2} <= counts and max(counts) >= 3
+    # calls that mixed orders and piece counts, and groups of several profiles
+    assert any(len({o for o, _ in g}) >= 2 and len({c for _, c in g}) >= 3 for g in groups)
+    assert any(len(g) > len(set(g)) for g in groups)
+
+
+def test_profile_slices_multiply_as_separate_products():
+    # _series_pass multiplies G profiles of p routed pieces as one
+    # (G, p, 41) @ _TAIL product: numpy must give every (p, 41) slice the
+    # bits of a p-row product, which a flat (G p, 41) product does not
+    rng = np.random.default_rng(24)
+    for _ in range(400):
+        p, g, order = int(rng.integers(1, 12)), int(rng.integers(1, 33)), 2 * int(rng.integers(2, 21))
+        head = rng.uniform(0.0, 1.0, (g, p, q._SERIES_TERMS + 1)) ** rng.integers(0, 40, q._SERIES_TERMS + 1)
+        tail = q._TAIL[:, : order + 1]
+        whole = head @ tail
+        for i in range(g):
+            assert whole[i].tobytes() == (head[i] @ tail).tobytes(), (p, g, order)
+
+
+def test_truncation_order_thresholds_match_the_order_loop():
+    # J = 4 + 2 (thresholds at or below the rise) is the first even J >= 4
+    # with 1e18 rise^(J/2-1) <= (J/2+1)!, capped at _SERIES_TERMS
+    def order_loop(rise):
+        order = 4
+        while order < q._SERIES_TERMS and 1e18 * rise ** (order / 2 - 1) > math.factorial(order // 2 + 1):
+            order += 2
+        return order
+
+    assert (np.diff(q._ORDER_RISE) > 0.0).all()
+    rng = np.random.default_rng(25)
+    rises = [0.0, 5e-324, 1.0, 1.0001, *(10.0 ** rng.uniform(-20.0, 0.01, 20000)).tolist()]
+    for t in q._ORDER_RISE.tolist():
+        rises += [t, math.nextafter(t, 0.0), math.nextafter(t, 2.0)]
+    for rise in rises:
+        assert 4 + 2 * int(np.searchsorted(q._ORDER_RISE, rise, side="right")) == order_loop(rise), rise
 
 
 def test_last_knot_past_the_square_root_of_binary64_max():
