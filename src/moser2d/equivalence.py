@@ -126,7 +126,7 @@ def tau_rescale(p: RadialProfile, tau: float) -> RadialProfile:
         raise ValueError("tau must be positive and finite")
     if tau == 1.0:
         return p
-    out = RadialProfile(p.t_support / tau, p.s, p.v)
+    out = RadialProfile._from_checked(p.t_support / tau, p.s, p.v)
     a = dirichlet_norm_sq(p)
     if math.isfinite(a):
         before = a + l2_norm_sq(p)

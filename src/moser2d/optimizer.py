@@ -197,11 +197,12 @@ def _place(c: ConstraintSet, theta, s: np.ndarray, v: np.ndarray):
     np.maximum(v, 0.0, out=v)
     v[:, 0] = 0.0
     ds = s[:, 1:] - s[:, :-1]
+    ds_min = ds.min(axis=1, initial=math.inf)
     budget = [c.l2_budget(x) for x in theta.tolist()]
-    d = _dirichlet_sq(v, ds, v[:, 1:] - v[:, :-1])
+    d = _dirichlet_sq(v, ds, v[:, 1:] - v[:, :-1], ds_min)
     ok = (np.array(budget) > 0.0) & (d > 0.0)
     v *= np.sqrt(theta / np.where(ok, d, 1.0))[:, None]
-    l2 = _l2_sq(1.0, s, v, ds, v[:, 1:] - v[:, :-1])
+    l2 = _l2_sq(1.0, s, v, ds, v[:, 1:] - v[:, :-1], ds_min)
     t = [b / x if x > 0.0 else math.inf for b, x in zip(budget, l2.tolist())]
     return np.where(ok, t, math.inf), v
 

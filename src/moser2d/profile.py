@@ -37,6 +37,14 @@ __all__ = [
 _4PI = 4.0 * math.pi
 
 
+def _support(t_support) -> float:
+    """t_support as a float; ValueError unless it is positive and finite."""
+    t = float(t_support)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError("t_support must be positive and finite")
+    return t
+
+
 class RadialProfile:
     """Immutable piecewise-linear profile; see the module docstring.
 
@@ -51,31 +59,48 @@ class RadialProfile:
     - s is nondecreasing, then v is nondecreasing;
     - a repeated s carries a jump (no duplicate knot), and no three knots
       share one s (no stacked jumps).
+
+    Profiles derived by scale_dilate, scale_amplitude and tau_rescale
+    share their parent's read-only knot arrays, or own new ones that keep
+    the invariants by construction; only their support is checked again.
     """
 
     __slots__ = ("_t_support", "_s", "_v")
 
     def __init__(self, t_support, s, v):
-        t = float(t_support)
-        if not (math.isfinite(t) and t > 0.0):
-            raise ValueError("t_support must be positive and finite")
+        t = _support(t_support)
         s = np.array(s, dtype=float)
         v = np.array(v, dtype=float)
         if s.ndim != 1 or s.shape != v.shape or s.size == 0:
             raise ValueError("knot arrays must be equal-length 1-d and nonempty")
-        if not (np.isfinite(s).all() and np.isfinite(v).all()):
-            raise ValueError("knots must be finite")
-        if s[0] != 0.0:
-            raise ValueError("first knot must sit at s = 0")
-        if (v < 0.0).any():
-            raise ValueError("knot values must be nonnegative")
-        ds = s[1:] - s[:-1]
-        dv = v[1:] - v[:-1]
-        if (ds < 0.0).any():
-            raise ValueError("s must be nondecreasing")
-        if (dv < 0.0).any():
-            raise ValueError("v must be nondecreasing (profiles are rearrangements)")
-        if not ds.all():
+        # knots that are nondecreasing from a finite first to a finite last
+        # entry are finite throughout, so one pass over the differences
+        # accepts exactly the valid inputs; a rejected input (whose
+        # differences may be inf - inf or overflow) runs the checks in
+        # order to pick its message
+        with np.errstate(invalid="ignore", over="ignore"):
+            ds = s[1:] - s[:-1]
+            dv = v[1:] - v[:-1]
+        ds_min = ds.min(initial=math.inf)
+        if not (
+            s[0] == 0.0
+            and v[0] >= 0.0
+            and math.isfinite(s[-1])
+            and math.isfinite(v[-1])
+            and ds_min >= 0.0
+            and dv.min(initial=math.inf) >= 0.0
+        ):
+            if not (np.isfinite(s).all() and np.isfinite(v).all()):
+                raise ValueError("knots must be finite")
+            if s[0] != 0.0:
+                raise ValueError("first knot must sit at s = 0")
+            if (v < 0.0).any():
+                raise ValueError("knot values must be nonnegative")
+            if (ds < 0.0).any():
+                raise ValueError("s must be nondecreasing")
+            if (dv < 0.0).any():
+                raise ValueError("v must be nondecreasing (profiles are rearrangements)")
+        if ds_min == 0.0:
             dup = ds == 0.0
             if (dup & (dv == 0.0)).any():
                 raise ValueError("duplicate knot (zero-length segment with no jump)")
@@ -86,6 +111,16 @@ class RadialProfile:
         self._t_support = t
         self._s = s
         self._v = v
+
+    @classmethod
+    def _from_checked(cls, t_support, s, v) -> "RadialProfile":
+        """A profile on read-only knot arrays that satisfy every knot check
+        already: those of a checked profile, or knots derived from them by
+        an operation that keeps the checks.  Only t_support is checked."""
+        p = cls.__new__(cls)
+        p._t_support = _support(t_support)
+        p._s, p._v = s, v
+        return p
 
     @classmethod
     def zero(cls, t_support: float = 1.0) -> "RadialProfile":
@@ -223,37 +258,43 @@ class FunctionalReport:
         }
 
 
-def _dirichlet_sq(v, ds, dv):
+def _dirichlet_sq(v, ds, dv, ds_min):
     """4 pi sum (dv)^2 / ds; inf at a jump (a zero-length piece or v_0 > 0).
-    A stack of profiles gives one value per row."""
-    # a zero-length piece is a jump: knots never repeat without one
+    ds_min is the shortest piece, ds.min(axis=-1, initial=inf); a stack of
+    profiles gives one value per row."""
+    # with 0 <= dv <= v_end, ds_min > 1e-154 v_end (which rules out a jump)
+    # and v_end <= 1e153 bound the sum by v_end^2 / ds_min < 1e307, so no
+    # term, nor 4 pi times the sum, leaves binary64; past these gates a
+    # stack goes row by row, and a row pays for silencing an overflow to inf
+    plain = (ds_min > v[..., -1] * 1e-154) & (v[..., -1] <= 1e153)
     if v.ndim > 1:
-        # a stack with a jump, or with a row past v_end = 1e154, goes row by row
-        if ((v[:, 0] > 0.0) | ~ds.all(axis=1) | (v[:, -1] > 1e154)).any():
-            return np.array([_dirichlet_sq(*x) for x in zip(v, ds, dv)])
-    elif v[0] > 0.0 or not ds.all():
+        if ((v[:, 0] > 0.0) | ~plain).any():
+            return np.array([_dirichlet_sq(*x) for x in zip(v, ds, dv, ds_min)])
+    elif v[0] > 0.0:
         return math.inf
-    elif v[-1] > 1e154:
-        # 0 <= dv <= v_end: only here can dv * dv leave binary64, to inf,
-        # and only here the sum pays for silencing that
+    elif not plain:
+        # a zero-length piece is a jump: knots never repeat without one
+        if not ds.all():
+            return math.inf
         with np.errstate(over="ignore"):
             return float(_4PI * (dv * dv / ds).sum())
     d = _4PI * (dv * dv / ds).sum(axis=-1)
     return d if v.ndim > 1 else float(d)
 
 
-def _l2_sq(t, s, v, ds, dv):
+def _l2_sq(t, s, v, ds, dv, ds_min):
     """T int U(s)^2 e^{-s} ds from segment_moments; zero-length pieces add nothing.
-    A stack of profiles with one t gives one value per row."""
-    # one reduction finds both rare cases: jumps (ds = 0), and pieces with
-    # ds <= 1e-154 v_end, the only ones where m = dv / ds can reach 1e154
-    # and m * m overflow; a stack with either is summed row by row
+    ds_min is as for _dirichlet_sq; a stack of profiles with one t gives
+    one value per row."""
+    # the shortest piece finds both rare cases: jumps (ds = 0), and pieces
+    # with ds <= 1e-154 v_end, the only ones where m = dv / ds can reach
+    # 1e154 and m * m overflow; a stack with either is summed row by row
     if s.ndim > 1:
-        if not (ds.min(axis=1, initial=math.inf) > v[:, -1] * 1e-154).all():
-            return np.array([_l2_sq(t, *x) for x in zip(s, v, ds, dv)])
+        if not (ds_min > v[:, -1] * 1e-154).all():
+            return np.array([_l2_sq(t, *x) for x in zip(s, v, ds, dv, ds_min)])
         rare = False
     else:
-        rare = ds.size > 0 and not ds.min() > float(v[-1]) * 1e-154
+        rare = not ds_min > v[-1] * 1e-154
     a, p0 = s[..., :-1], v[..., :-1]
     if rare:
         lin = ds > 0.0
@@ -304,13 +345,15 @@ def dirichlet_norm_sq(p: RadialProfile) -> float:
     H^1: the result is inf for them.
     """
     s, v = p.s, p.v
-    return _dirichlet_sq(v, s[1:] - s[:-1], v[1:] - v[:-1])
+    ds = s[1:] - s[:-1]
+    return _dirichlet_sq(v, ds, v[1:] - v[:-1], ds.min(initial=math.inf))
 
 
 def l2_norm_sq(p: RadialProfile) -> float:
     """T int U(s)^2 e^{-s} ds in closed form (no quadrature); jumps add nothing."""
     s, v = p.s, p.v
-    return _l2_sq(p.t_support, s, v, s[1:] - s[:-1], v[1:] - v[:-1])
+    ds = s[1:] - s[:-1]
+    return _l2_sq(p.t_support, s, v, ds, v[1:] - v[:-1], ds.min(initial=math.inf))
 
 
 def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> FunctionalReport:
@@ -329,8 +372,9 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
         raise ValueError("tol must lie in (0, 1e-6]")
     s, v = p.s, p.v
     ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
-    dir_sq = _dirichlet_sq(v, ds, dv)
-    l2_sq = _l2_sq(p.t_support, s, v, ds, dv)
+    ds_min = ds.min(initial=math.inf)
+    dir_sq = _dirichlet_sq(v, ds, dv, ds_min)
+    l2_sq = _l2_sq(p.t_support, s, v, ds, dv, ds_min)
     if p.is_zero:
         return FunctionalReport(0.0, dir_sq, l2_sq, 0.0)
     value, abs_err = profile_exp_integral(p.t_support, s, v, beta, tol, kind="expm1")
@@ -354,8 +398,14 @@ def scale_amplitude(p: RadialProfile, a: float) -> RadialProfile:
         return p
     if a == 0.0:
         return RadialProfile.zero(p.t_support)
+    # a > 0 keeps every v_i >= 0 and their order, and v_end bounds the
+    # rest: only v_end * a can leave binary64
+    if not math.isfinite(float(p.v[-1]) * a):
+        raise ValueError("knots must be finite")
     s, v = _dedupe(p.s, p.v * a)
-    return RadialProfile(p.t_support, s, v)
+    s.setflags(write=False)
+    v.setflags(write=False)
+    return RadialProfile._from_checked(p.t_support, s, v)
 
 
 def scale_dilate(p: RadialProfile, b: float) -> RadialProfile:
@@ -365,7 +415,11 @@ def scale_dilate(p: RadialProfile, b: float) -> RadialProfile:
         raise ValueError("dilation factor must be positive and finite")
     if b == 1.0:
         return p
-    return RadialProfile(p.t_support / (b * b), p.s, p.v)
+    if b * b == 0.0:
+        # the dilated support t / b^2 would be inf, as it is where b^2 is
+        # subnormal
+        raise ValueError("t_support must be positive and finite")
+    return RadialProfile._from_checked(p.t_support / (b * b), p.s, p.v)
 
 
 def insert_knot(p: RadialProfile, s_new: float) -> RadialProfile:

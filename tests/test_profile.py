@@ -9,6 +9,7 @@ from moser2d import (
     RadialProfile,
     ValueOverflowError,
     counterexample,
+    counterexample_scales,
     dirichlet_norm_sq,
     insert_knot,
     l2_norm_sq,
@@ -16,10 +17,12 @@ from moser2d import (
     remainder_functional,
     scale_amplitude,
     scale_dilate,
+    tau_rescale,
     tm_functional,
 )
-from moser2d.profile import _dirichlet_sq
+from moser2d.profile import _dedupe, _dirichlet_sq
 from moser2d.quadrature import profile_exp_integral
+from moser2d.sequences import FAMILIES, oracle_rows
 
 from conftest import (
     brute_j,
@@ -251,9 +254,40 @@ def test_dirichlet_past_the_square_root_of_binary64_max():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert dirichlet_norm_sq(p) == math.inf
-        assert _dirichlet_sq(v, np.ones((2, 1)), v[:, 1:]).tolist() == [math.inf, 4.0 * PI]
+        got = _dirichlet_sq(v, np.ones((2, 1)), v[:, 1:], np.ones(2))
+        assert got.tolist() == [math.inf, 4.0 * PI]
         with pytest.raises(ValueOverflowError):
             tm_functional(p, 4.0 * PI)
+
+
+@pytest.mark.parametrize(
+    "s, v",
+    [([0.0, 1e-300], [0.0, 1e100]), ([0.0, 1.0], [0.0, 1e154])],
+    ids=["quotient_overflows", "four_pi_product_overflows"],
+)
+def test_dirichlet_below_the_square_root_of_binary64_max_is_inf_unwarned(s, v):
+    # dv^2 is finite, but dv^2 / ds or 4 pi times the sum leaves binary64:
+    # the energy is inf, unwarned, one profile at a time or in a stack
+    p = RadialProfile(1.0, s, v)
+    vs = np.array([v, [0.0, 1.0]])
+    ds = np.array([[s[1]], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dirichlet_norm_sq(p) == math.inf
+        got = _dirichlet_sq(vs, ds, vs[:, 1:], ds.min(axis=1))
+        assert got.tolist() == [math.inf, 4.0 * PI]
+        with pytest.raises(ValueOverflowError):
+            tm_functional(p, 4.0 * PI)
+
+
+def test_tm_functional_reports_an_overflowed_dirichlet_energy_unwarned():
+    # dv^2 / ds = 2.5e308 on a 1e-307 piece; J is the plateau's e^{100 pi} - 1
+    p = RadialProfile(1.0, [0.0, 1e-307], [0.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = tm_functional(p, 4.0 * PI)
+    assert rep.dirichlet_sq == math.inf
+    assert rel_err(rep.j_beta, math.expm1(100.0 * PI)) < 1e-14
 
 
 def test_tm_functional_matches_brute_quadrature():
@@ -465,6 +499,99 @@ def test_scale_special_cases():
         scale_amplitude(p, -0.5)
     with pytest.raises(ValueError):
         scale_dilate(p, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # v_end * a overflows: bad input, not a RuntimeWarning
+        with pytest.raises(ValueError, match="knots must be finite"):
+            scale_amplitude(RadialProfile(2.0, [0.0, 1.0], [0.0, 2.0]), 1e308)
+        # b * b underflows to 0: bad input, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="t_support must be positive and finite"):
+            scale_dilate(p, 1e-200)
+
+
+def _parent_amplitude(p, a):
+    # scale_amplitude as the full constructor sees it: p.v * a, then _dedupe
+    if a in (0.0, 1.0) or not (a > 0.0 and math.isfinite(a)):
+        return scale_amplitude(p, a)
+    with np.errstate(over="ignore"):
+        s, v = _dedupe(p.s, p.v * a)
+    return RadialProfile(p.t_support, s, v)
+
+
+def _parent_dilate(p, b):
+    # scale_dilate as the full constructor sees it: t / b^2 (inf once b^2 is 0)
+    if b == 1.0 or not (b > 0.0 and math.isfinite(b)):
+        return scale_dilate(p, b)
+    bb = b * b
+    return RadialProfile(p.t_support / bb if bb > 0.0 else math.inf, p.s, p.v)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_checked_and_equal(q, want):
+    # q passes the full constructor, keeps read-only knots, and has the bits
+    # of the parent formula
+    assert RadialProfile(q.t_support, q.s, q.v) == q
+    assert not (q.s.flags.writeable or q.v.flags.writeable)
+    assert q.t_support == want.t_support
+    assert q.s.tobytes() == want.s.tobytes() and q.v.tobytes() == want.v.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _knot_inputs().filter(lambda k: reference_knot_error(*k) is None),
+    st.sampled_from(["dilate", "amplitude", "tau"]),
+    st.integers(-330, 310),
+    st.floats(1.0, 9.999),
+)
+@example((1.0, [0.0, 1.0], [0.0, 2.0]), "amplitude", 308, 1.0)  # v_end * a overflows
+@example((1.0, [0.0, 1.0, 1.0], [0.0, 1.0, 1.4]), "amplitude", -324, 5.0)  # the jump collapses
+@example((1.0, [0.0, 1.0], [0.0, 2.0]), "amplitude", 310, 1.0)  # a = inf
+@example((1.0, [0.0, 1.0], [0.0, 2.0]), "dilate", -200, 1.0)  # b * b underflows to 0
+@example((1.0, [0.0, 1.0], [0.0, 2.0]), "dilate", -160, 1.0)  # t / b^2 overflows
+@example((1e306, [0.0, 1.0], [0.0, 2.0]), "tau", 0, 1.0)  # t / tau overflows at tau = 1e-3
+def test_derived_profiles_pass_the_full_check(knots, op, exp10, mantissa):
+    # derived profiles skip the knot checks: each must be one the full
+    # constructor accepts, with the bits the full constructor would give;
+    # factors run from 0 through subnormals (b^2 and v * a underflow) to inf
+    p = RadialProfile(*knots)
+    x = float("%re%d" % (mantissa, exp10))
+    if op == "dilate":
+        got, want = _outcome(scale_dilate, p, x), _outcome(_parent_dilate, p, x)
+    elif op == "amplitude":
+        got, want = _outcome(scale_amplitude, p, x), _outcome(_parent_amplitude, p, x)
+    else:
+        x = float("%re%d" % (mantissa, exp10 % 7 - 3))
+        got, want = _outcome(tau_rescale, p, x), _outcome(RadialProfile, p.t_support / x, p.s, p.v)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_checked_and_equal(got, want)
+
+
+_PARENT_FORMULA = {
+    "counterexample": lambda n: _parent_amplitude(
+        _parent_dilate(moser(n), 1.0 / counterexample_scales(n)[0]), counterexample_scales(n)[1]
+    ),
+    "modified-moser": lambda n: _parent_amplitude(moser(n), 1.0 - math.sqrt(l2_norm_sq(moser(n)))),
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    oracle_rows(),
+    ids=lambda spec: "-".join([spec.family] + ["%s=%g" % kv for kv in spec.params.items()]),
+)
+def test_family_members_pass_the_full_check(spec):
+    args = spec._args()
+    q = spec.build()
+    want = _PARENT_FORMULA.get(spec.family, FAMILIES[spec.family].builder)(*args)
+    _assert_checked_and_equal(q, want)
 
 
 def test_insert_knot_changes_nothing():
