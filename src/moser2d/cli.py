@@ -3,14 +3,16 @@
 Every run is pure given its flags and input files: results and the
 manifest are byte-identical across repeats, and the only timestamp lives
 in a separate .stamp file next to the output.  Exit codes: 0 success,
-1 failed check or overflow, 2 usage error.
+1 failed check or overflow, 2 usage or file error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import platform
@@ -126,13 +128,56 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % type(obj))
 
 
+def _json_text(obj, pad="\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2, default=_json_default), byte
+    for byte, without the stdlib's pure-Python indented encoder.
+
+    pad is a newline plus the indent of the line that holds obj.  Float
+    lists and float-pair lists (profile knots) are written in one C-level
+    pass; a float's repr holds an "n" only when it is nan or inf.
+    """
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, obj))
+        flat = ()
+        if kinds <= {list, tuple} and set(map(len, obj)) == {2}:
+            flat = tuple(itertools.chain.from_iterable(obj))
+        if kinds == {float}:
+            text = ("," + inner).join(map(repr, obj))
+        elif set(map(type, flat)) == {float}:
+            pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+            text = ("," + inner).join([pair] * len(obj)) % flat
+        else:
+            items = (_json_text(x, inner) for x in obj)
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        if "n" in text:
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        return "[" + inner + text + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            # json's own rules convert and sort non-string keys; no JSON
+            # string holds a raw newline, so every newline starts a line
+            text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+            return text.replace("\n", pad)
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            json.dumps(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)
+        ) + pad + "}"
+    return json.dumps(obj, default=_json_default)
+
+
 def _emit(ns, payload, rows=None) -> None:
     if ns.format == "csv":
         text = _csv_text(rows if rows is not None else _kv_rows(payload))
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
-        text += "\n"
-    manifest = json.dumps(
+        text = _json_text(payload) + "\n"
+    manifest = _json_text(
         {
             "argv": list(ns.raw_argv),
             "package": "moser2d " + __version__,
@@ -140,9 +185,7 @@ def _emit(ns, payload, rows=None) -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "seed": ns.seed,
-        },
-        sort_keys=True,
-        indent=2,
+        }
     )
     manifest += "\n"
     if ns.out:
@@ -245,8 +288,12 @@ def cmd_rearrange(ns) -> int:
                 raise ValueError("bad csv row %d in %s" % (i + 1, ns.infile))
             if len(row) < 2:
                 raise ValueError("row %d needs value,area" % (i + 1,))
+            try:
+                a = float(row[1])
+            except ValueError:
+                raise ValueError("bad csv row %d in %s" % (i + 1, ns.infile)) from None
             values.append(v)
-            areas.append(float(row[1]))
+            areas.append(a)
     if not values:
         raise ValueError("no samples in %s" % ns.infile)
     prof = decreasing_rearrangement(WeightedSamples(values, areas))
@@ -468,14 +515,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main; parse_args returns a fresh namespace
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    ns = parser.parse_args(raw)
+    ns = _parser().parse_args(raw)
     ns.raw_argv = raw
     try:
         return ns.func(ns)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except OverflowError as exc:

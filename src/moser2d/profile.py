@@ -186,7 +186,7 @@ class RadialProfile:
     def to_dict(self) -> dict:
         return {
             "t_support": self._t_support,
-            "knots": [[float(a), float(b)] for a, b in zip(self._s, self._v)],
+            "knots": np.column_stack((self._s, self._v)).tolist(),
         }
 
     def to_json(self, indent=None) -> str:

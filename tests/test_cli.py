@@ -9,9 +9,11 @@ import sys
 import numpy as np
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moser2d import RadialProfile, SequenceSpec, blowup_scan, cap_l2_sq, moser, tm_functional
-from moser2d.cli import build_parser
+from moser2d import cli
+from moser2d.cli import _json_default, _json_text, build_parser
 from moser2d.sequences import FAMILIES
 
 from conftest import rel_err
@@ -268,3 +270,110 @@ def test_usage_errors_and_help():
     assert run_cli("eval", "--family", "cap", "--k", "4").returncode == 2  # no beta
     assert run_cli("--help").returncode == 0
     assert run_cli("optimize", "--help").returncode == 0
+
+
+def test_file_errors_exit_2(tmp_path):
+    missing = tmp_path / "missing"
+    cells = tmp_path / "cells.csv"
+    cells.write_text("2.0,1.0\n")
+    for args in (
+        ("eval", "--profile", str(missing / "p.json"), "--beta", "2pi"),
+        ("rearrange", "--in", str(missing / "cells.csv")),
+        ("rearrange", "--in", str(cells), "--out", str(missing / "p.json")),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("row", ["abc,1.0", "1.0,abc"])
+def test_rearrange_bad_cell_names_its_row(tmp_path, capsys, row):
+    src = tmp_path / "cells.csv"
+    src.write_text("value,area\n2.0,1.0\n%s\n" % row)
+    assert cli.main(["rearrange", "--in", str(src)]) == 2
+    assert capsys.readouterr().err == "error: bad csv row 3 in %s\n" % src
+
+
+def test_main_reuses_its_parser_without_leaking_flags(tmp_path, capsys):
+    first = ["eval", "--family", "moser", "--n", "10", "--beta", "4pi"]
+    assert cli.main(first + ["--out", str(tmp_path / "a.json")]) == 0
+    # the second call omits --beta, then --n, that the first one set
+    assert cli.main(["eval", "--family", "moser", "--n", "10"]) == 2
+    assert "--beta is required" in capsys.readouterr().err
+    assert cli.main(["eval", "--family", "moser", "--beta", "4pi"]) == 2
+    assert "requires --n" in capsys.readouterr().err
+    third = ["eval", "--family", "cap", "--k", "4", "--beta", "2pi"]
+    assert cli.main(third + ["--out", str(tmp_path / "c.json")]) == 0
+    for argv, name in ((first, "a.json"), (third, "c.json")):
+        manifest = json.loads((tmp_path / (name + ".manifest.json")).read_text())
+        assert manifest["argv"] == argv + ["--out", str(tmp_path / name)]
+    assert cli._parser() is cli._parser()
+
+
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.5e-310, -1e-308,
+    9.999999999999998e15, 1e16, 1.0000000000000002e16, 1e-4, 9.999999999999999e-05,
+]
+_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_pairs = st.lists(st.tuples(_floats, _floats).map(list), max_size=6)
+_keys = st.one_of(st.text(max_size=6), st.sampled_from(['a"b', "c\\d", "\u00e9\u2603", "\x00"]))
+_leaves = st.one_of(
+    _floats,
+    _floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(10**399, 10**400 - 1).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.text(max_size=6),
+    st.none(),
+    st.booleans(),
+    st.lists(_floats, max_size=6),
+    st.lists(_floats, max_size=6).map(np.array),
+    _pairs,
+    _pairs.map(lambda knots: np.array(knots, dtype=float).reshape(-1, 2)),
+    _pairs.map(lambda knots: [tuple(k) for k in knots]),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payloads)
+def test_json_text_matches_stdlib(payload):
+    want = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    assert _json_text(payload) == want
+
+
+def test_readme_commands_write_the_json_layout(tmp_path):
+    cells = tmp_path / "cells.csv"
+    cells.write_text("value,area\n2.0,1.0\n1.0,2.0\n0.5,0.5\n")
+    profile = str(tmp_path / "profile.json")
+    commands = [
+        ["oracles"],
+        ["eval", "--family", "moser", "--n", "1000", "--beta", "4pi"],
+        ["rearrange", "--in", str(cells), "--out", profile],
+        ["verify", "--inequality", "alvino", "--family", "alvino", "--T", "10", "--delta", "54.598"],
+        ["verify", "--inequality", "limine", "--profile", profile],
+        ["eval", "--profile", profile, "--beta", "0.5"],
+        ["equivalence", "--direction", "at-to-ruf", "--family", "moser", "--n", "100", "--beta", "2pi"],
+        ["optimize", "--constraint", "reduced", "--beta", "2pi", "--knots", "8", "--budget", "300"],
+        ["scan-blowup", "--betas", "2pi,4pi", "--ns", "1000,1000000"],
+        ["table", "constants"],
+    ]
+    for i, argv in enumerate(commands):
+        out = argv[-1] if "--out" in argv else str(tmp_path / ("out%d.json" % i))
+        if "--out" not in argv:
+            argv = argv + ["--out", out]
+        assert cli.main(argv) == 0, argv
+        for path in (out, out + ".manifest.json"):
+            with open(path) as fh:
+                text = fh.read()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", argv
