@@ -231,12 +231,10 @@ def _params_text(params: dict) -> str:
 def cmd_oracles(ns) -> int:
     rows = []
     first_fail = None
-    for i, spec in enumerate(oracle_rows()):
+    for spec in oracle_rows():
         p = spec.build()
         computed = {"dirichlet_sq": dirichlet_norm_sq(p), "l2_sq": l2_norm_sq(p)}
         oracle = spec.oracle_values()
-        if ns.corrupt_oracle and i == 0:
-            oracle = {k: v * (1.0 + 1e-6) for k, v in oracle.items()}
         for quantity in ("dirichlet_sq", "l2_sq"):
             got = computed[quantity]
             want = oracle[quantity]
@@ -438,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_or = sub.add_parser("oracles", parents=[common], help="closed-form oracle suite")
-    p_or.add_argument("--corrupt-oracle", action="store_true", help=argparse.SUPPRESS)
     p_or.set_defaults(func=cmd_oracles)
 
     p_ev = sub.add_parser(
@@ -528,10 +525,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except OverflowError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except RuntimeError as exc:
+    except (OverflowError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 from .profile import (
     RadialProfile,
+    _positive,
+    _subcritical,
     dirichlet_norm_sq,
     l2_norm_sq,
     scale_amplitude,
@@ -55,10 +57,7 @@ def ruf_normalize(p: RadialProfile, beta: float) -> EquivalenceTrace:
     ||v_mu||_S^2 = (beta/4 pi) ||grad u||_2^2 + 1 - beta/4 pi <= 1 and the
     functional transports as J_beta(u) = J_{4 pi}(v) = mu^2 J_{4 pi}(v_mu).
     """
-    beta = float(beta)
-    b = beta / _4PI
-    if not (0.0 < b < 1.0):
-        raise ValueError("beta must lie in (0, 4 pi)")
+    b = _subcritical(beta)
     if p.is_zero:
         raise ValueError("the zero profile has no normalizing dilation")
     dir_sq = dirichlet_norm_sq(p)
@@ -121,9 +120,7 @@ def tau_rescale(p: RadialProfile, tau: float) -> RadialProfile:
     directly (not via sqrt(tau) squared), so rescaling by tau and then
     1/tau restores the original knots whenever tau is a power of two.
     """
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError("tau must be positive and finite")
+    tau = _positive(tau, "tau")
     if tau == 1.0:
         return p
     out = RadialProfile._from_checked(p.t_support / tau, p.s, p.v)

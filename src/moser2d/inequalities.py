@@ -18,6 +18,9 @@ import numpy as np
 
 from .profile import (
     RadialProfile,
+    _positive,
+    _subcritical,
+    _tol,
     dirichlet_norm_sq,
     l2_norm_sq,
     tm_functional,
@@ -86,9 +89,7 @@ def alvino_ratio_sup(p: RadialProfile, t_win: float) -> InequalityReport:
     The witness is the measure t of the first maximizing knot, or T when
     no numerator inside the window is positive.
     """
-    t_win = float(t_win)
-    if not (t_win > 0.0 and math.isfinite(t_win)):
-        raise ValueError("window measure must be positive and finite")
+    t_win = _positive(t_win, "window measure")
     rhs = math.sqrt(dirichlet_norm_sq(p) / _4PI)
     u_t = 0.0 if t_win >= p.t_support else p.value_at(t_win)
     s, v = p.s, p.v
@@ -157,9 +158,7 @@ def check_limine(p: RadialProfile) -> InequalityReport:
 
 def adachi_ratio(p: RadialProfile, beta: float, tol: float = 1e-10) -> float:
     """J_beta(u) / ||u||_2^2 for Dirichlet-feasible nonzero profiles."""
-    beta = float(beta)
-    if not (0.0 < beta < _4PI):
-        raise ValueError("beta must lie in (0, 4 pi)")
+    _subcritical(beta)
     if p.is_zero:
         raise ValueError("ratio undefined for the zero profile")
     if not dirichlet_norm_sq(p) <= 1.0 + 1e-12:
@@ -168,10 +167,7 @@ def adachi_ratio(p: RadialProfile, beta: float, tol: float = 1e-10) -> float:
 
 
 def best_eps(beta: float) -> float:
-    beta = float(beta)
-    if not (0.0 < beta < _4PI):
-        raise ValueError("beta must lie in (0, 4 pi)")
-    return 1.0 - beta / _4PI
+    return 1.0 - _subcritical(beta)
 
 
 def at_constant_eps(beta: float, eps: float) -> float:
@@ -180,11 +176,8 @@ def at_constant_eps(beta: float, eps: float) -> float:
     b = beta/(4 pi); admissible eps range is (0, (1-b)/b), and
     best_eps(beta) = 1 - b sits strictly inside it.
     """
-    beta = float(beta)
+    b = _subcritical(beta)
     eps = float(eps)
-    b = beta / _4PI
-    if not (0.0 < b < 1.0):
-        raise ValueError("beta must lie in (0, 4 pi)")
     if not (0.0 < eps < (1.0 - b) / b):
         raise ValueError("eps must lie in (0, 4 pi/beta - 1)")
     return _4PI * math.exp(b) * max(b, math.exp(b / eps) / (1.0 - b * (1.0 + eps)))
@@ -192,20 +185,14 @@ def at_constant_eps(beta: float, eps: float) -> float:
 
 def at_quadratic_bound(beta: float) -> float:
     """16 e^{4 pi} (1 + 4 pi) / (1 - beta/4 pi)^2, the explicit quadratic bound."""
-    beta = float(beta)
-    b = beta / _4PI
-    if not (0.0 < b < 1.0):
-        raise ValueError("beta must lie in (0, 4 pi)")
+    b = _subcritical(beta)
     return 16.0 * math.exp(_4PI) * (1.0 + _4PI) / (1.0 - b) ** 2
 
 
 def remainder_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> float:
     """Integral of e^{beta u^2} - 1 - beta u^2: the superquadratic part of J."""
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError("beta must be positive and finite")
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError("tol must lie in (0, 1e-6]")
+    beta = _positive(beta, "beta")
+    tol = _tol(tol)
     if p.is_zero:
         return 0.0
     value, _ = profile_exp_integral(p.t_support, p.s, p.v, beta, tol, kind="remainder")
@@ -214,8 +201,6 @@ def remainder_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> f
 
 def zcharact_bound(p: RadialProfile, lam: float, tol: float = 1e-10) -> float:
     """(1/sqrt(lam)) max(1, sqrt(J_lam(u)/4 pi)): dominates the quasi-norm."""
-    lam = float(lam)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lam must be positive and finite")
+    lam = _positive(lam, "lam")
     k_val = tm_functional(p, lam, tol).j_beta
     return max(1.0, math.sqrt(k_val / _4PI)) / math.sqrt(lam)

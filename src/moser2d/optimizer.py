@@ -30,6 +30,7 @@ from .profile import (
     RadialProfile,
     _dirichlet_sq,
     _l2_sq,
+    _positive,
     dirichlet_norm_sq,
     l2_norm_sq,
     scale_amplitude,
@@ -184,13 +185,10 @@ def _place(c: ConstraintSet, theta, s: np.ndarray, v: np.ndarray):
     """(t_support, v): the shape (s, v) in the rearranged cone at Dirichlet
     energy theta, with the support that makes ||u||_2^2 = l2_budget(theta).
 
-    None for an empty budget, a zero shape or a support beyond binary64.
-    A stack of shapes (rows of s and v, an array theta) gives an array
-    t_support, inf in the rows that place nothing, and the stacked values.
+    Shapes come as a stack: rows of s and v, one theta per row.  t_support
+    is inf in the rows that place nothing: an empty budget, a zero shape or
+    a support beyond binary64.
     """
-    if s.ndim == 1:
-        t, v = _place(c, np.array([theta]), s[None], v[None])
-        return (float(t[0]), v[0]) if t[0] < math.inf else None
     v = v.astype(float)
     for r in (~(v[:, 1:] >= v[:, :-1]).all(axis=1)).nonzero()[0].tolist():
         v[r] = _isotonic(v[r])
@@ -207,10 +205,15 @@ def _place(c: ConstraintSet, theta, s: np.ndarray, v: np.ndarray):
     return np.where(ok, t, math.inf), v
 
 
-def _starts(c: ConstraintSet):
-    """(label, theta, k) of every start: the cap ramp over s in [0, k] at theta."""
-    return [("cap_k%g_share%g" % (k, f), f * _ceiling(c), k)
-            for k in (1.0, 2.0, 4.0, 8.0, 16.0) for f in (0.9, 0.3, 0.03, 0.001)]
+def _starts(c: ConstraintSet, n_knots: int, count=None):
+    """(labels, thetas, t, s, v) of the first count starts, each the cap ramp
+    over s in [0, k] on n_knots knots at share theta, placed as one stack."""
+    starts = [("cap_k%g_share%g" % (k, f), f * _ceiling(c), k)
+              for k in (1.0, 2.0, 4.0, 8.0, 16.0) for f in (0.9, 0.3, 0.03, 0.001)][:count]
+    labels, thetas, ks = zip(*starts)
+    s = np.array([np.linspace(0.0, k, n_knots) for k in ks])
+    t, v = _place(c, np.array(thetas), s, s)
+    return labels, thetas, t, s, v
 
 
 def family_starts(constraint: ConstraintSet):
@@ -219,12 +222,9 @@ def family_starts(constraint: ConstraintSet):
     boundary.  A truncated logarithm of any support and height is one of
     these shapes up to its length k, which the s-stretch move changes.
     """
-    out = []
-    for label, theta, k in _starts(constraint):
-        s = np.array([0.0, k])
-        t, v = _place(constraint, theta, s, s)
-        out.append((label, RadialProfile(t, s, v)))
-    return out
+    labels, _, t, s, v = _starts(constraint, 2)
+    return [(label, RadialProfile(t_r, s_r, v_r))
+            for label, t_r, s_r, v_r in zip(labels, t.tolist(), s, v)]
 
 
 def maximize(
@@ -253,9 +253,7 @@ def maximize(
     and the evaluation count are those of trying one move at a time.  An
     overflow raises ValueOverflowError only at a move the walk reaches.
     """
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError("beta must be positive and finite")
+    beta = _positive(beta, "beta")
     ceiling = _ceiling(constraint)
     if constraint.kind == "reduced" and beta >= _4PI / ceiling:
         raise ValueError(
@@ -271,12 +269,10 @@ def maximize(
     evals = 0
     trace = []
 
-    starts = _starts(constraint)[:budget]
-    s = np.array([np.linspace(0.0, k, n_knots) for _, _, k in starts])
-    t, v = _place(constraint, np.array([x[1] for x in starts]), s, s)
+    labels, thetas, t, s, v = _starts(constraint, n_knots, budget)
     values = _stack_values(t, s, v, beta, hot_tol)
     states = []
-    for (label, theta, _), j, t_r, s_r, v_r in zip(starts, values, t.tolist(), s, v):
+    for label, theta, j, t_r, s_r, v_r in zip(labels, thetas, values, t.tolist(), s, v):
         evals += 1
         if not t_r < math.inf:
             raise ValueError("start %s places no profile" % label)
@@ -453,9 +449,7 @@ def vanishing_probe(constraint: ConstraintSet, beta: float, lam_grid, tol: float
     """
     if constraint.kind != "reduced":
         raise ValueError("the vanishing probe is defined for the reduced constraint")
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError("beta must be positive and finite")
+    beta = _positive(beta, "beta")
     lams = [float(x) for x in lam_grid]
     if not lams or any(not (0.0 < x <= 1.0) for x in lams):
         raise ValueError("lambda grid entries must lie in (0, 1]")

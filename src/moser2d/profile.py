@@ -37,12 +37,31 @@ __all__ = [
 _4PI = 4.0 * math.pi
 
 
-def _support(t_support) -> float:
-    """t_support as a float; ValueError unless it is positive and finite."""
-    t = float(t_support)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError("t_support must be positive and finite")
-    return t
+# every module checks its arguments through these: one rule, one message
+
+
+def _positive(x, name: str) -> float:
+    """x as a float; ValueError unless it is positive and finite."""
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError("%s must be positive and finite" % name)
+    return x
+
+
+def _subcritical(beta) -> float:
+    """b = beta/(4 pi); ValueError unless 0 < b < 1, the subcritical range."""
+    b = float(beta) / _4PI
+    if not (0.0 < b < 1.0):
+        raise ValueError("beta must lie in (0, 4 pi)")
+    return b
+
+
+def _tol(tol) -> float:
+    """tol as a float; ValueError unless it lies in (0, 1e-6]."""
+    tol = float(tol)
+    if not (0.0 < tol <= 1e-6):
+        raise ValueError("tol must lie in (0, 1e-6]")
+    return tol
 
 
 class RadialProfile:
@@ -68,7 +87,7 @@ class RadialProfile:
     __slots__ = ("_t_support", "_s", "_v")
 
     def __init__(self, t_support, s, v):
-        t = _support(t_support)
+        t = _positive(t_support, "t_support")
         s = np.array(s, dtype=float)
         v = np.array(v, dtype=float)
         if s.ndim != 1 or s.shape != v.shape or s.size == 0:
@@ -118,7 +137,7 @@ class RadialProfile:
         already: those of a checked profile, or knots derived from them by
         an operation that keeps the checks.  Only t_support is checked."""
         p = cls.__new__(cls)
-        p._t_support = _support(t_support)
+        p._t_support = _positive(t_support, "t_support")
         p._s, p._v = s, v
         return p
 
@@ -157,9 +176,7 @@ class RadialProfile:
         windows that need the rearrangement's right limit there (which is
         0 when v_0 > 0) handle that case explicitly.
         """
-        t = float(t)
-        if not (t > 0.0) or not math.isfinite(t):
-            raise ValueError("t must be positive and finite")
+        t = _positive(t, "t")
         if t > self._t_support:
             return 0.0
         sq = math.log(self._t_support / t)
@@ -364,12 +381,8 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     quadrature).  Raises ValueOverflowError when the true value exceeds
     binary64 range.
     """
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError("beta must be positive and finite")
-    tol = float(tol)
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError("tol must lie in (0, 1e-6]")
+    beta = _positive(beta, "beta")
+    tol = _tol(tol)
     s, v = p.s, p.v
     ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
     ds_min = ds.min(initial=math.inf)
@@ -410,16 +423,11 @@ def scale_amplitude(p: RadialProfile, a: float) -> RadialProfile:
 
 def scale_dilate(p: RadialProfile, b: float) -> RadialProfile:
     """Dilation u_b(x) = u(b x): support divides by b^2, knots unchanged."""
-    b = float(b)
-    if not (b > 0.0 and math.isfinite(b)):
-        raise ValueError("dilation factor must be positive and finite")
+    b = _positive(b, "dilation factor")
     if b == 1.0:
         return p
-    if b * b == 0.0:
-        # the dilated support t / b^2 would be inf, as it is where b^2 is
-        # subnormal
-        raise ValueError("t_support must be positive and finite")
-    return RadialProfile._from_checked(p.t_support / (b * b), p.s, p.v)
+    # a b^2 that underflows to 0 dilates the support to inf: _from_checked refuses it
+    return RadialProfile._from_checked(p.t_support / (b * b) if b * b else math.inf, p.s, p.v)
 
 
 def insert_knot(p: RadialProfile, s_new: float) -> RadialProfile:

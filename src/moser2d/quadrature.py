@@ -13,9 +13,12 @@ where w = beta U^2 stays small or phi is nearly flat: a piece whose condition
 number kappa (term magnitudes over net value) makes _TERM_ULPS eps kappa
 exceed tol, and whose w rises by at most _SERIES_MAX_RISE, is summed instead
 as the Taylor series of e^w in y against the moments of e^-y, whose terms are
-positive.  Constant pieces and the plateau are closed form.  The error bound
-adds up the rounding of every piece and the series truncation.  Results
-beyond binary64 range raise ValueOverflowError naming the knot.
+positive.  Constant pieces and the plateau are closed form.  A piece so
+steep that beta m overflows is skipped, as a jump is: wherever J is finite
+it is shorter than about 1e-145 and adds less than its length, relative to
+J.  The error bound adds up the rounding of every piece and the series
+truncation.  Results beyond binary64 range raise ValueOverflowError naming
+the knot.
 
 Profiles of up to _SHORT_PIECES pieces, such as the one- and two-piece
 family members, are summed piece by piece on Python floats, longer ones on
@@ -307,11 +310,16 @@ def _stack_pieces(log_t, s, v, beta, tol, remainder):
 
         if lin.any():
             idx = lin.nonzero()[0]
+            length = ds[idx]
+            m = dv[idx] / length
+            if beta * m.max() == math.inf:
+                # a piece whose beta m overflows is skipped, as a jump is
+                keep = beta * m < math.inf
+                idx, length, m = idx[keep], length[keep], m[keep]
             row = idx // (k - 1)
             knot = idx + row
-            length = ds[idx]
-            lp, le = _linear(log_t[row] - s_flat[knot], v_flat[knot], dv[idx] / length,
-                             length, beta, tol, remainder, row)
+            lp, le = _linear(log_t[row] - s_flat[knot], v_flat[knot], m, length,
+                             beta, tol, remainder, row)
             # the exponent is convex along a piece: its right knot is to blame
             _blame(blame, lp, row, knot + 1, s, v)
             piece, terms = _row_sums(row, n, np.exp(lp), np.exp(np.minimum(le, _LOG_MAX)))
@@ -385,7 +393,7 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
         ds, dv = s[i + 1] - s[i], v[i + 1] - v[i]
         if ds > 0.0 and dv == 0.0 and v[i] > 0.0:
             const.append(i)
-        elif ds > 0.0 and dv > 0.0:
+        elif ds > 0.0 and dv > 0.0 and beta * (dv / ds) < math.inf:
             lin.append(i)
 
     ws, lgs, lps = [], [], []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import RadialProfile
+from .profile import RadialProfile, _positive
 from .quadrature import segment_moments
 
 __all__ = [
@@ -130,8 +130,6 @@ def _l1_tail(p: RadialProfile, s0: float) -> float:
 
 def maximal_function(p: RadialProfile, t: float) -> float:
     """u**(t) = (1/t) int_0^t u*(r) dr, exact piecewise integration."""
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError("t must be positive and finite")
+    t = _positive(t, "t")
     s0 = math.log(p.t_support / t) if t < p.t_support else 0.0
     return _l1_tail(p, s0) / t

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from scipy.special import gammainc
 
-from .profile import RadialProfile, l2_norm_sq, scale_amplitude, scale_dilate
+from .profile import RadialProfile, _positive, l2_norm_sq, scale_amplitude, scale_dilate
 
 __all__ = [
     "FAMILIES",
@@ -123,13 +123,9 @@ def _cap_args(k, r) -> tuple:
     k = float(k)
     if not (k >= 1.0 and math.isfinite(k)):
         raise ValueError("k must be >= 1")
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError("r must be positive")
-    t = math.pi * r * r
+    r = _positive(r, "r")
     # pi r^2 can overflow or underflow: refuse it as RadialProfile would
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError("t_support must be positive and finite")
-    return t, k
+    return _positive(math.pi * r * r, "t_support"), k
 
 
 def cap(k: float, r: float) -> RadialProfile:
@@ -152,10 +148,8 @@ def zygmund_optimal(k: float) -> RadialProfile:
 
 def _alvino_args(t_support, delta) -> tuple:
     """(t_support, k) of alvino_extremal; shared by the builder and its closed form."""
-    t = float(t_support)
+    t = _positive(t_support, "t_support")
     d = float(delta)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError("t_support must be positive")
     if not (d > 1.0 and math.isfinite(d)):
         raise ValueError("delta must exceed 1")
     return t, 2.0 * math.log(d)

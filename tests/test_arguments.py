@@ -1,0 +1,137 @@
+"""Argument checks: one rule and one message per argument kind.
+
+Every call site that takes a positive finite number, a subcritical beta
+or a tolerance checks it through profile._positive, profile._subcritical
+or profile._tol.  The table feeds each site the values those rules refuse
+and asserts the exception type and the exact message; the scan asserts
+that no other function raises the three shared messages itself.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+import moser2d
+from moser2d import (
+    ConstraintSet,
+    RadialProfile,
+    adachi_ratio,
+    alvino_extremal,
+    alvino_ratio_sup,
+    at_constant_eps,
+    at_quadratic_bound,
+    best_eps,
+    cap,
+    cap_l2_sq,
+    maximal_function,
+    maximize,
+    moser,
+    remainder_functional,
+    ruf_normalize,
+    scale_dilate,
+    tau_rescale,
+    tm_functional,
+    vanishing_probe,
+    zcharact_bound,
+)
+
+PI = math.pi
+_P = moser(10)
+_BAD = (0.0, -1.0, math.nan, math.inf)
+
+# (site, call of the checked argument x, message)
+_POSITIVE = [
+    ("RadialProfile", lambda x: RadialProfile(x, [0.0], [0.0]), "t_support must be positive and finite"),
+    ("value_at", _P.value_at, "t must be positive and finite"),
+    ("tm_functional", lambda x: tm_functional(_P, x), "beta must be positive and finite"),
+    ("scale_dilate", lambda x: scale_dilate(_P, x), "dilation factor must be positive and finite"),
+    ("alvino_ratio_sup", lambda x: alvino_ratio_sup(_P, x), "window measure must be positive and finite"),
+    ("remainder_functional", lambda x: remainder_functional(_P, x), "beta must be positive and finite"),
+    ("zcharact_bound", lambda x: zcharact_bound(_P, x), "lam must be positive and finite"),
+    ("maximize", lambda x: maximize(ConstraintSet("ruf"), x, budget=1), "beta must be positive and finite"),
+    ("vanishing_probe", lambda x: vanishing_probe(ConstraintSet("reduced"), x, [0.5]),
+     "beta must be positive and finite"),
+    ("tau_rescale", lambda x: tau_rescale(_P, x), "tau must be positive and finite"),
+    ("maximal_function", lambda x: maximal_function(_P, x), "t must be positive and finite"),
+    ("cap", lambda x: cap(1.0, x), "r must be positive and finite"),
+    ("cap_l2_sq", lambda x: cap_l2_sq(1.0, x), "r must be positive and finite"),
+    ("alvino_extremal", lambda x: alvino_extremal(x, 2.0), "t_support must be positive and finite"),
+]
+_SUBCRITICAL = [
+    ("adachi_ratio", lambda x: adachi_ratio(_P, x)),
+    ("best_eps", best_eps),
+    ("at_constant_eps", lambda x: at_constant_eps(x, 0.5)),
+    ("at_quadratic_bound", at_quadratic_bound),
+    ("ruf_normalize", lambda x: ruf_normalize(_P, x)),
+]
+_TOL = [
+    ("tm_functional", lambda x: tm_functional(_P, 1.0, x).j_beta),
+    ("remainder_functional", lambda x: remainder_functional(_P, 1.0, x)),
+]
+
+_CASES = (
+    [(site, call, x, msg) for site, call, msg in _POSITIVE for x in _BAD]
+    # supports derived from valid arguments that leave binary64
+    + [
+        ("scale_dilate", lambda x: scale_dilate(_P, x), 1e-170, "t_support must be positive and finite"),
+        ("tau_rescale", lambda x: tau_rescale(_P, x), 1e-308, "t_support must be positive and finite"),
+        ("cap", lambda x: cap(1.0, x), 1e200, "t_support must be positive and finite"),
+        ("cap", lambda x: cap(1.0, x), 1e-200, "t_support must be positive and finite"),
+    ]
+    # beta/(4 pi) underflows to 0 below 3.1e-323
+    + [(site, call, x, "beta must lie in (0, 4 pi)")
+       for site, call in _SUBCRITICAL for x in _BAD + (5e-324, 3e-323, 4.0 * PI)]
+    + [(site, call, x, "tol must lie in (0, 1e-6]") for site, call in _TOL for x in _BAD + (2e-6,)]
+)
+
+
+@pytest.mark.parametrize(
+    "site, call, x, msg", _CASES, ids=["%s-%r" % (c[0], c[2]) for c in _CASES]
+)
+def test_every_site_refuses_with_the_shared_message(site, call, x, msg):
+    with pytest.raises(ValueError) as exc:
+        call(x)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("site, call", _TOL, ids=[c[0] for c in _TOL])
+def test_tol_is_converted_as_a_float(site, call):
+    assert call("1e-8") == call(1e-8)
+
+
+def test_subcritical_edges_are_accepted():
+    # the smallest beta whose b = beta/(4 pi) is positive, and the largest
+    # below 4 pi, whose b rounds below 1
+    for beta in (3.5e-323, math.nextafter(4.0 * PI, 0.0)):
+        assert 0.0 < best_eps(beta) <= 1.0
+        assert at_quadratic_bound(beta) > 0.0
+
+
+_SHARED = ("must be positive and finite", "must lie in (0, 4 pi)", "tol must lie in (0, 1e-6]")
+_HELPERS = {("profile.py", "_positive"), ("profile.py", "_subcritical"), ("profile.py", "_tol")}
+
+
+def _shared_raises(path):
+    """(file, function) of every raise in path whose text ends in a shared message."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    # ast.walk goes outside in, so an inner function claims its own nodes
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner[node] = func.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for c in ast.walk(node.exc):
+                if isinstance(c, ast.Constant) and isinstance(c.value, str) and c.value.endswith(_SHARED):
+                    yield path.name, owner.get(node, "<module>")
+
+
+def test_only_the_shared_helpers_raise_the_shared_messages():
+    found = set()
+    for path in sorted(Path(moser2d.__file__).parent.glob("*.py")):
+        found.update(_shared_raises(path))
+    assert found == _HELPERS

@@ -48,10 +48,15 @@ def test_oracles_pass():
     assert all(row["status"] == "pass" for row in payload["rows"])
 
 
-def test_oracles_detect_corruption():
-    res = run_cli("oracles", "--corrupt-oracle")
-    assert res.returncode == 1
-    assert "oracle mismatch" in res.stderr
+def test_oracles_detect_corruption(monkeypatch, capsys):
+    # oracles 1e-6 off fail the suite with exit 1 and name the first mismatch
+    exact = SequenceSpec.oracle_values
+    monkeypatch.setattr(
+        SequenceSpec, "oracle_values",
+        lambda spec: {k: x * (1.0 + 1e-6) for k, x in exact(spec).items()},
+    )
+    assert cli.main(["oracles"]) == 1
+    assert "oracle mismatch" in capsys.readouterr().err
 
 
 def test_eval_matches_api():

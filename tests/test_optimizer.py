@@ -183,14 +183,14 @@ def test_placement_lands_on_the_budget_boundary():
             # unsorted values exercise the isotonic step
             v = rng.uniform(0.0, 1.0, n)
             theta = ceiling * rng.uniform(1e-4, 1.0 if c.kind == "reduced" else 0.999)
-            t, w = _place(c, theta, s, v)
-            p = RadialProfile(t, s, w)
+            t, w = _place(c, np.array([theta]), s[None], v[None])
+            p = RadialProfile(t[0], s, w[0])
             assert rel_err(dirichlet_norm_sq(p), theta) <= 1e-12
             assert rel_err(l2_norm_sq(p), c.l2_budget(theta)) <= 1e-12
             assert abs(c.residual(p)) <= 1e-12
         # a share that leaves no L2 budget places nothing
         if c.kind != "reduced":
-            assert _place(c, 1.0, s, v) is None
+            assert _place(c, np.array([1.0]), s[None], v[None])[0][0] == math.inf
 
 
 @pytest.fixture(scope="module")
@@ -285,8 +285,8 @@ def test_windowed_isotonic_matches_the_full_scan():
 
 
 def test_place_stack_rows_equal_one_row_calls():
-    # a stack of 2-40 shapes places each row as _place places it alone, bit
-    # for bit: unsorted rows pool, and rows that place nothing get t = inf
+    # a stack of 2-40 shapes places each row as a one-row stack places it,
+    # bit for bit: unsorted rows pool, and rows that place nothing get t = inf
     rng = np.random.default_rng(12)
     pooled = empty = 0
     for c in _NON_DEFAULT + (ConstraintSet("reduced"), ConstraintSet("ruf")):
@@ -301,13 +301,13 @@ def test_place_stack_rows_equal_one_row_calls():
             theta[::5] = ceiling
             t, w = _place(c, theta, s, v)
             for r in range(rows):
-                one = _place(c, float(theta[r]), s[r], v[r])
-                if one is None:
+                one_t, one_w = _place(c, theta[r : r + 1], s[r : r + 1], v[r : r + 1])
+                if one_t[0] == math.inf:
                     empty += 1
                     assert t[r] == math.inf
                 else:
                     pooled += not (v[r][1:] >= v[r][:-1]).all()
-                    assert t[r] == one[0] and np.array_equal(w[r], one[1])
+                    assert t[r] == one_t[0] and np.array_equal(w[r], one_w[0])
     assert pooled > 50 and empty > 50
 
 

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from moser2d import RadialProfile, ValueOverflowError, tm_functional
+from moser2d import RadialProfile, ValueOverflowError, remainder_functional, tm_functional
 from moser2d import quadrature as q
 
 from conftest import brute_j, rel_err
@@ -49,8 +49,9 @@ def _outcome(pieces, p, beta, tol, remainder):
 # one knot, two pieces whose w rises by 1e-11 and 0.8, routed at tol 1e-14 (the
 # batch's truncation order follows the larger), a constant piece that
 # overflows, a plateau that overflows, a nearly flat rise of phi = w - s
-# that overflows while the plateau fits, and a constant piece and a
-# plateau that each fit but whose sum overflows
+# that overflows while the plateau fits, a constant piece and a plateau
+# that each fit but whose sum overflows, and two pieces so steep that
+# beta m overflows (m itself, and only beta m), skipped like jumps
 _CASES = [
     (RadialProfile(1.0, [0.0], [0.3]), 4.0 * PI),
     (RadialProfile(2.0, [0.0, 1e-3, 1.2], [0.0, 1e-6, 0.25]), 4.0 * PI),
@@ -58,6 +59,8 @@ _CASES = [
     (RadialProfile(1.0, [0.0, 1.0], [0.0, 30.0]), 1.0),
     (RadialProfile(1.0, [0.0, 10.0], [math.sqrt(719.0) - 0.1867, math.sqrt(719.0)]), 1.0),
     (RadialProfile(1.0, [0.0, math.log(2.0)], [math.sqrt(710.0)] * 2), 1.0),
+    (RadialProfile(1.0, [0.0, 1e-308], [0.0, 5.0]), 4.0 * PI),
+    (RadialProfile(1.0, [0.0, 1e-307], [0.0, 5.0]), 4.0 * PI),
 ]
 
 
@@ -286,3 +289,30 @@ def test_short_series_pieces_do_not_warn():
             warnings.simplefilter("error")
             value = tm_functional(p, 4.0 * PI).j_beta
         assert rel_err(value, brute_j(p, 4.0 * PI)) <= 1e-10
+
+
+def test_steep_pieces_count_as_jumps():
+    # a piece whose beta m overflows adds less than its length, relative to
+    # J: both functionals equal those of the jump in its place, without a
+    # warning, on the short path (one piece) and the array path (ten)
+    jump = RadialProfile(1.0, [0.0, 0.0], [0.0, 5.0])
+    want = tm_functional(jump, 4.0 * PI)
+    assert want.j_beta == 2.739273424757491e+136
+    tail_s, tail_v = np.arange(1.0, 10.0).tolist(), np.linspace(5.01, 5.09, 9).tolist()
+    for length in (1e-308, 1e-307):
+        pairs = [
+            (RadialProfile(1.0, [0.0, length], [0.0, 5.0]), jump),
+            (RadialProfile(1.0, [0.0, length, *tail_s], [0.0, 5.0, *tail_v]),
+             RadialProfile(1.0, [0.0, 0.0, *tail_s], [0.0, 5.0, *tail_v])),
+        ]
+        for p, p_jump in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, ref = tm_functional(p, 4.0 * PI), tm_functional(p_jump, 4.0 * PI)
+                rem = remainder_functional(p, 4.0 * PI)
+            assert (got.j_beta, got.quad_error) == (ref.j_beta, ref.quad_error)
+            assert rem == remainder_functional(p_jump, 4.0 * PI)
+            assert rel_err(got.j_beta, brute_j(p_jump, 4.0 * PI)) <= got.quad_error
+    # ten steep pieces leave the array path no linear piece at all
+    p = RadialProfile(1.0, np.arange(11) * 1e-308, np.arange(11) * 0.5)
+    assert tm_functional(p, 4.0 * PI).j_beta == remainder_functional(p, 4.0 * PI) == want.j_beta
