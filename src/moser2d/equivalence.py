@@ -105,10 +105,8 @@ def adachi_split(p: RadialProfile) -> EquivalenceTrace:
         return EquivalenceTrace(theta, l2_sq, "subcritical", (out,), 2.0, "C_subcritical", checks)
     out = scale_amplitude(p, 1.0 / math.sqrt(theta))
     coeff = (l2_sq / theta) / (1.0 - theta)
-    checks = {
-        "dirichlet_sq": dirichlet_norm_sq(out),
-        "residual": abs(dirichlet_norm_sq(out) - 1.0),
-    }
+    out_dir = dirichlet_norm_sq(out)
+    checks = {"dirichlet_sq": out_dir, "residual": abs(out_dir - 1.0)}
     return EquivalenceTrace(theta, l2_sq, "gradient_normalized", (out,), coeff, "d_4pi", checks)
 
 

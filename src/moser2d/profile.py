@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .quadrature import profile_exp_integral, segment_moments
+from scipy.special import gammainc
+
+from .quadrature import _SHORT_PIECES, profile_exp_integral, segment_moments
 
 __all__ = [
     "RadialProfile",
@@ -35,6 +37,11 @@ __all__ = [
 ]
 
 _4PI = 4.0 * math.pi
+# profiles of at most this many knots are checked, rescaled and measured on
+# Python floats, as quadrature sums them
+_SHORT_KNOTS = _SHORT_PIECES + 1
+# P(a, L) for the moments M_1, M_2 of segment_moments
+_MOMENT_ORDERS = np.array([2.0, 3.0])
 
 
 # every module checks its arguments through these: one rule, one message
@@ -64,6 +71,60 @@ def _tol(tol) -> float:
     return tol
 
 
+def _short_knots_ok(s, v) -> bool:
+    """True when the float lists s, v are valid knots without a jump.
+
+    A short profile's knots are checked on Python floats, whose
+    differences round as numpy's do; an input with a repeated s or with
+    any fault returns False and takes _check_knots, which picks the message.
+    """
+    return (
+        s[0] == 0.0
+        and v[0] >= 0.0
+        and math.isfinite(s[-1])
+        and math.isfinite(v[-1])
+        and all(b - a > 0.0 for a, b in zip(s, s[1:]))
+        and all(b - a >= 0.0 for a, b in zip(v, v[1:]))
+    )
+
+
+def _check_knots(s, v):
+    """RadialProfile's knot checks on the arrays s, v of equal length >= 1."""
+    # knots that are nondecreasing from a finite first to a finite last
+    # entry are finite throughout, so one pass over the differences
+    # accepts exactly the valid inputs; a rejected input (whose
+    # differences may be inf - inf or overflow) runs the checks in
+    # order to pick its message
+    with np.errstate(invalid="ignore", over="ignore"):
+        ds = s[1:] - s[:-1]
+        dv = v[1:] - v[:-1]
+    ds_min = ds.min(initial=math.inf)
+    if not (
+        s[0] == 0.0
+        and v[0] >= 0.0
+        and math.isfinite(s[-1])
+        and math.isfinite(v[-1])
+        and ds_min >= 0.0
+        and dv.min(initial=math.inf) >= 0.0
+    ):
+        if not (np.isfinite(s).all() and np.isfinite(v).all()):
+            raise ValueError("knots must be finite")
+        if s[0] != 0.0:
+            raise ValueError("first knot must sit at s = 0")
+        if (v < 0.0).any():
+            raise ValueError("knot values must be nonnegative")
+        if (ds < 0.0).any():
+            raise ValueError("s must be nondecreasing")
+        if (dv < 0.0).any():
+            raise ValueError("v must be nondecreasing (profiles are rearrangements)")
+    if ds_min == 0.0:
+        dup = ds == 0.0
+        if (dup & (dv == 0.0)).any():
+            raise ValueError("duplicate knot (zero-length segment with no jump)")
+        if (dup[:-1] & dup[1:]).any():
+            raise ValueError("stacked jumps: at most two knots may share one s")
+
+
 class RadialProfile:
     """Immutable piecewise-linear profile; see the module docstring.
 
@@ -79,6 +140,13 @@ class RadialProfile:
     - a repeated s carries a jump (no duplicate knot), and no three knots
       share one s (no stacked jumps).
 
+    A short profile (at most _SHORT_KNOTS knots) is checked, rescaled and
+    measured on Python floats, bit for bit as on arrays: knots without a
+    jump are checked on floats, scale_amplitude keeps the s of a profile
+    without a jump, and the norms of a plain profile (see _short_plain)
+    are summed on floats.  Any other input, and any rejected one, runs the
+    array checks, so the accepted set and the messages are the same.
+
     Profiles derived by scale_dilate, scale_amplitude and tau_rescale
     share their parent's read-only knot arrays, or own new ones that keep
     the invariants by construction; only their support is checked again.
@@ -92,39 +160,8 @@ class RadialProfile:
         v = np.array(v, dtype=float)
         if s.ndim != 1 or s.shape != v.shape or s.size == 0:
             raise ValueError("knot arrays must be equal-length 1-d and nonempty")
-        # knots that are nondecreasing from a finite first to a finite last
-        # entry are finite throughout, so one pass over the differences
-        # accepts exactly the valid inputs; a rejected input (whose
-        # differences may be inf - inf or overflow) runs the checks in
-        # order to pick its message
-        with np.errstate(invalid="ignore", over="ignore"):
-            ds = s[1:] - s[:-1]
-            dv = v[1:] - v[:-1]
-        ds_min = ds.min(initial=math.inf)
-        if not (
-            s[0] == 0.0
-            and v[0] >= 0.0
-            and math.isfinite(s[-1])
-            and math.isfinite(v[-1])
-            and ds_min >= 0.0
-            and dv.min(initial=math.inf) >= 0.0
-        ):
-            if not (np.isfinite(s).all() and np.isfinite(v).all()):
-                raise ValueError("knots must be finite")
-            if s[0] != 0.0:
-                raise ValueError("first knot must sit at s = 0")
-            if (v < 0.0).any():
-                raise ValueError("knot values must be nonnegative")
-            if (ds < 0.0).any():
-                raise ValueError("s must be nondecreasing")
-            if (dv < 0.0).any():
-                raise ValueError("v must be nondecreasing (profiles are rearrangements)")
-        if ds_min == 0.0:
-            dup = ds == 0.0
-            if (dup & (dv == 0.0)).any():
-                raise ValueError("duplicate knot (zero-length segment with no jump)")
-            if (dup[:-1] & dup[1:]).any():
-                raise ValueError("stacked jumps: at most two knots may share one s")
+        if not (s.size <= _SHORT_KNOTS and _short_knots_ok(s.tolist(), v.tolist())):
+            _check_knots(s, v)
         s.setflags(write=False)
         v.setflags(write=False)
         self._t_support = t
@@ -218,9 +255,11 @@ class RadialProfile:
             knots = d["knots"]
             s = [k[0] for k in knots]
             v = [k[1] for k in knots]
+            # a support or knot cell that is not a number (null, {}) raises
+            # TypeError in the constructor
+            return cls(t_support, s, v)
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError("profile needs t_support and knots [[s, v], ...]") from exc
-        return cls(t_support, s, v)
 
     @classmethod
     def from_json(cls, text: str) -> "RadialProfile":
@@ -355,12 +394,54 @@ def _steep_terms(p0, ds, dv, p1, p2, p3):
     return terms
 
 
+def _short_plain(p):
+    """(s, v, ds, dv) as float lists of a short profile that is plain for
+    both norm kernels: no jump, v_0 = 0, v_end <= 1e153 and every
+    ds > 1e-154 v_end (see _dirichlet_sq).  None for any other profile."""
+    if p.n_knots > _SHORT_KNOTS:
+        return None
+    s, v = p.s.tolist(), p.v.tolist()
+    v_end = v[-1]
+    if v[0] > 0.0 or v_end > 1e153:
+        return None
+    # the knots are checked: finite, so min sees no nan
+    ds = [b - a for a, b in zip(s, s[1:])]
+    if ds and not min(ds) > v_end * 1e-154:
+        return None
+    return s, v, ds, [b - a for a, b in zip(v, v[1:])]
+
+
+def _short_dirichlet_sq(s, v, ds, dv):
+    """_dirichlet_sq of a _short_plain profile on floats, bit for bit: numpy
+    sums fewer than 8 terms left to right from 0."""
+    acc = 0.0
+    for d, e in zip(ds, dv):
+        acc += e * e / d
+    return _4PI * acc
+
+
+def _short_l2_sq(t, s, v, ds, dv):
+    """_l2_sq of a _short_plain profile on floats, bit for bit: the same
+    operations in the same order, numpy's and scipy's ufuncs for every
+    transcendental, and the sum left to right from 0."""
+    acc = 0.0
+    for a, p0, d, e in zip(s, v, ds, dv):
+        # one gammainc call rounds each element as a call on it alone would
+        p2, p3 = gammainc(_MOMENT_ORDERS, d).tolist()
+        p1, p3, m = float(-np.expm1(-d)), 2 * p3, e / d
+        acc += float(np.exp(-a)) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)
+    return t * (acc + _plateau_sq(s[-1], v[-1]))
+
+
 def dirichlet_norm_sq(p: RadialProfile) -> float:
     """Exact Dirichlet seminorm squared, 4 pi sum (dv)^2 / ds.
 
     Jumps of u* (including a positive value at the support edge) are not
     H^1: the result is inf for them.
     """
+    short = _short_plain(p)
+    if short is not None:
+        return _short_dirichlet_sq(*short)
     s, v = p.s, p.v
     ds = s[1:] - s[:-1]
     return _dirichlet_sq(v, ds, v[1:] - v[:-1], ds.min(initial=math.inf))
@@ -368,6 +449,9 @@ def dirichlet_norm_sq(p: RadialProfile) -> float:
 
 def l2_norm_sq(p: RadialProfile) -> float:
     """T int U(s)^2 e^{-s} ds in closed form (no quadrature); jumps add nothing."""
+    short = _short_plain(p)
+    if short is not None:
+        return _short_l2_sq(p.t_support, *short)
     s, v = p.s, p.v
     ds = s[1:] - s[:-1]
     return _l2_sq(p.t_support, s, v, ds, v[1:] - v[:-1], ds.min(initial=math.inf))
@@ -384,10 +468,15 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     beta = _positive(beta, "beta")
     tol = _tol(tol)
     s, v = p.s, p.v
-    ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
-    ds_min = ds.min(initial=math.inf)
-    dir_sq = _dirichlet_sq(v, ds, dv, ds_min)
-    l2_sq = _l2_sq(p.t_support, s, v, ds, dv, ds_min)
+    short = _short_plain(p)
+    if short is not None:
+        dir_sq = _short_dirichlet_sq(*short)
+        l2_sq = _short_l2_sq(p.t_support, *short)
+    else:
+        ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
+        ds_min = ds.min(initial=math.inf)
+        dir_sq = _dirichlet_sq(v, ds, dv, ds_min)
+        l2_sq = _l2_sq(p.t_support, s, v, ds, dv, ds_min)
     if p.is_zero:
         return FunctionalReport(0.0, dir_sq, l2_sq, 0.0)
     value, abs_err = profile_exp_integral(p.t_support, s, v, beta, tol, kind="expm1")
@@ -403,7 +492,11 @@ def _dedupe(s, v):
 
 
 def scale_amplitude(p: RadialProfile, a: float) -> RadialProfile:
-    """Pointwise scaling u -> a u; satisfies J_beta(a u) = J_{a^2 beta}(u)."""
+    """Pointwise scaling u -> a u; satisfies J_beta(a u) = J_{a^2 beta}(u).
+
+    Only a jump, a repeated s, can collapse when v is scaled; a short
+    profile without one, found on Python floats, shares its parent's s.
+    """
     a = float(a)
     if not (a >= 0.0 and math.isfinite(a)):
         raise ValueError("amplitude factor must be nonnegative and finite")
@@ -415,8 +508,12 @@ def scale_amplitude(p: RadialProfile, a: float) -> RadialProfile:
     # rest: only v_end * a can leave binary64
     if not math.isfinite(float(p.v[-1]) * a):
         raise ValueError("knots must be finite")
-    s, v = _dedupe(p.s, p.v * a)
-    s.setflags(write=False)
+    if p.n_knots <= _SHORT_KNOTS and _short_knots_ok(p.s.tolist(), p.v.tolist()):
+        # checked knots that pass have no jump, the only knots that can collapse
+        s, v = p.s, p.v * a
+    else:
+        s, v = _dedupe(p.s, p.v * a)
+        s.setflags(write=False)
     v.setflags(write=False)
     return RadialProfile._from_checked(p.t_support, s, v)
 

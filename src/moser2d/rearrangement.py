@@ -55,7 +55,7 @@ class WeightedSamples:
 def distribution(w: WeightedSamples, level: float) -> float:
     """Measure of {value > level}; nonincreasing and right-continuous."""
     level = float(level)
-    if level < 0.0:
+    if not level >= 0.0:
         raise ValueError("level must be nonnegative")
     return float(w.areas[w.values > level].sum())
 
@@ -93,7 +93,7 @@ def decreasing_rearrangement(w: WeightedSamples) -> RadialProfile:
 def profile_distribution(p: RadialProfile, level: float) -> float:
     """Measure of {u* > level} for a profile, exact per segment."""
     level = float(level)
-    if level < 0.0:
+    if not level >= 0.0:
         raise ValueError("level must be nonnegative")
     s, v = p.s, p.v
     if level >= v[-1]:

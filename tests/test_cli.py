@@ -291,6 +291,24 @@ def test_file_errors_exit_2(tmp_path):
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"t_support": None, "knots": [[0.0, 0.0], [1.0, 0.5]]},
+        {"t_support": {}, "knots": [[0.0, 0.0], [1.0, 0.5]]},
+        {"t_support": 1.0, "knots": [[0.0, 0.0], [{}, 0.5]]},
+        {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0, {}]]},
+    ],
+    ids=["null_support", "object_support", "object_s", "object_v"],
+)
+def test_profile_cell_that_is_not_a_number_exits_2(tmp_path, doc):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("eval", "--profile", str(path), "--beta", "2pi")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "error: profile needs t_support and knots [[s, v], ...]\n"
+
+
 @pytest.mark.parametrize("row", ["abc,1.0", "1.0,abc"])
 def test_rearrange_bad_cell_names_its_row(tmp_path, capsys, row):
     src = tmp_path / "cells.csv"

@@ -20,7 +20,8 @@ from moser2d import (
     tau_rescale,
     tm_functional,
 )
-from moser2d.profile import _dedupe, _dirichlet_sq
+from moser2d import profile, quadrature
+from moser2d.profile import _SHORT_KNOTS, _dedupe, _dirichlet_sq, _l2_sq, _short_plain
 from moser2d.quadrature import profile_exp_integral
 from moser2d.sequences import FAMILIES, oracle_rows
 
@@ -129,6 +130,16 @@ def _knot_inputs(draw):
 @example((1.0, [0.0, 1.0, 1.0, 1.0], [0.0, 0.5, 0.7, 0.9]))
 @example((1.0, [[0.0, 1.0]], [[0.0, 0.5]]))
 @example((1.0, [], []))
+# a nan or inf after a valid difference, in s and in v: Python's min would
+# skip the nan, the short path's all() does not
+@example((1.0, [0.0, 0.5, math.nan, 2.0], [0.0, 0.5, 1.0, 1.5]))
+@example((1.0, [0.0, 0.5, math.inf, 2.0], [0.0, 0.5, 1.0, 1.5]))
+@example((1.0, [0.0, 0.5, 1.0, 2.0], [0.0, 0.5, math.nan, 1.5]))
+@example((1.0, [0.0, 0.5, 1.0, 2.0], [0.0, 0.5, math.inf, 1.5]))
+# -0.0 knots: a first s, values, and a repeated s (a jump) at -0.0
+@example((1.0, [-0.0, 0.5, 1.0], [-0.0, -0.0, 0.5]))
+@example((1.0, [0.0, -0.0, 1.0], [0.0, 0.5, 1.0]))
+@example((1.0, [0.0, -0.0, 1.0], [0.0, -0.0, 1.0]))
 def test_construction_matches_reference_checks(knots):
     # the constructor accepts exactly what the reference checks accept, keeps
     # the knots bit for bit, and otherwise raises the reference's message
@@ -203,6 +214,106 @@ def test_tm_functional_norms_equal_the_norm_functions():
         rep = tm_functional(p, PI)
         assert rep.dirichlet_sq == dirichlet_norm_sq(p)
         assert rep.l2_sq == l2_norm_sq(p)
+
+
+def _short_knots(rng):
+    # 1 to _SHORT_KNOTS knots: rises, constant pieces, jumps, pieces so
+    # steep that m * m overflows, an optional positive edge value, a v_end
+    # past 1e153, and -0.0 knots
+    s, v = [-0.0 if rng.random() < 0.1 else 0.0], [0.0]
+    r = rng.random()
+    if r < 0.2:
+        v[0] = float(10.0 ** rng.uniform(-6.0, 0.0))
+    elif r < 0.3:
+        v[0] = -0.0
+    was_jump = False
+    for _ in range(int(rng.integers(0, _SHORT_KNOTS))):
+        r = rng.random()
+        jump = r < 0.1 and not was_jump
+        if jump:
+            s.append(s[-1])
+        else:
+            # only a first piece can be that short
+            steep = r < 0.2 and s[-1] == 0.0
+            low, high = (-300.0, -150.0) if steep else (-4.0, 1.0)
+            s.append(s[-1] + float(10.0 ** rng.uniform(low, high)))
+        v.append(v[-1] if 0.2 <= r < 0.4 else v[-1] + float(10.0 ** rng.uniform(-6.0, 0.5)))
+        was_jump = jump
+    big = 10.0 ** rng.uniform(153.0, 155.0) if rng.random() < 0.1 else 1.0
+    return RadialProfile(math.exp(rng.uniform(-4.0, 4.0)), s, [x * big for x in v])
+
+
+def _array_norms(p):
+    s, v = p.s, p.v
+    ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
+    ds_min = ds.min(initial=math.inf)
+    return _dirichlet_sq(v, ds, dv, ds_min), _l2_sq(p.t_support, s, v, ds, dv, ds_min)
+
+
+def test_short_norms_are_bit_identical_to_array_norms():
+    # plain short profiles take the float norms, every other one the array
+    # kernels; the float norms must give the array kernels' bits
+    rng = np.random.default_rng(22)
+    cases = [
+        RadialProfile(1.0, [0.0], [0.0]),
+        RadialProfile(2.0, [0.0], [0.7]),
+        RadialProfile(1.0, [0.0, 1.0, 2.0], [0.0, 0.5, 0.5]),
+        RadialProfile(1.0, [0.0, 1.0, 1.0, 2.0], [0.0, 0.2, 0.5, 0.6]),
+        RadialProfile(1.0, [0.0, 1.0], [0.3, 0.9]),
+        RadialProfile(1.0, [0.0, 1e-300], [0.0, 1.0]),
+        RadialProfile(1.0, [0.0, 1e-154], [0.0, 1.0]),
+        RadialProfile(1.0, [0.0, 2e-154], [0.0, 1.0]),
+        RadialProfile(1.0, [0.0, 1e-160, 2.0], [0.0, 1.0, 3.0]),
+        RadialProfile(1.0, [0.0, 1.0], [0.0, 1e153]),
+        RadialProfile(1.0, [0.0, 1.0], [0.0, 1e154]),
+        RadialProfile(1.0, [0.0, 400.0], [0.0, 1e155]),
+        RadialProfile(1.0, [-0.0, 1.0, 2.0], [-0.0, -0.0, 0.5]),
+    ]
+    plain = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in cases + [_short_knots(rng) for _ in range(600)]:
+            plain += _short_plain(p) is not None
+            want = [x.hex() for x in _array_norms(p)]
+            assert [dirichlet_norm_sq(p).hex(), l2_norm_sq(p).hex()] == want, (p.s, p.v)
+            try:
+                rep = tm_functional(p, 1.0)
+            except ValueOverflowError:
+                continue
+            assert [rep.dirichlet_sq.hex(), rep.l2_sq.hex()] == want, (p.s, p.v)
+    assert 200 < plain < 500
+
+
+@pytest.mark.parametrize("n, short", [(_SHORT_KNOTS, True), (_SHORT_KNOTS + 1, False)])
+def test_short_paths_end_at_one_knot_count(n, short, monkeypatch):
+    # construction, rescale, norms and J all take the float path up to
+    # _SHORT_KNOTS knots, and all take the array path past it
+    calls = dict.fromkeys(["_short_knots_ok", "_check_knots", "_dedupe", "_short_dirichlet_sq",
+                           "_dirichlet_sq", "_short_l2_sq", "_l2_sq", "_short_pieces", "_array_pieces"], 0)
+
+    def record(module, name):
+        f = getattr(module, name)
+
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(module, name, g)
+
+    for name in calls:
+        record(quadrature if name.endswith("_pieces") else profile, name)
+    p = RadialProfile(1.0, np.linspace(0.0, 3.0, n), np.linspace(0.0, 1.0, n))
+    u = scale_amplitude(p, 0.5)
+    tm_functional(u, 4.0 * PI)
+    float_path = ["_short_knots_ok", "_short_dirichlet_sq", "_short_l2_sq", "_short_pieces"]
+    array_path = ["_check_knots", "_dedupe", "_dirichlet_sq", "_l2_sq", "_array_pieces"]
+    want = dict.fromkeys(calls, 0)
+    want.update(dict.fromkeys(float_path if short else array_path, 1))
+    if short:
+        # construction and rescale each check the knots on floats
+        want["_short_knots_ok"] = 2
+        assert u.s is p.s
+    assert calls == want
 
 
 def test_l2_matches_brute_quadrature():

@@ -28,8 +28,9 @@ def test_distribution_step_examples():
     assert distribution(w, 1.999999) == 3.0
     assert distribution(w, 2.0) == 2.0
     assert distribution(w, 3.0) == 0.0
-    with pytest.raises(ValueError):
-        distribution(w, -0.1)
+    for level in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            distribution(w, level)
 
 
 def test_rearrangement_is_equimeasurable():
@@ -78,6 +79,9 @@ def test_profile_distribution_linear_profile():
     assert rel_err(profile_distribution(p, vmax / 2.0), math.pi * math.exp(-2.0)) < 1e-13
     assert profile_distribution(p, vmax) == 0.0
     assert profile_distribution(p, 0.0) == math.pi
+    for level in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            profile_distribution(p, level)
 
 
 def test_radial_resample_roundtrip():
