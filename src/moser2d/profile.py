@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
 
-from .quadrature import _SHORT_PIECES, profile_exp_integral, segment_moments
+from .quadrature import _MOMENT_ORDERS, _SHORT_PIECES, profile_exp_integral, segment_moments
 
 __all__ = [
     "RadialProfile",
@@ -37,11 +38,11 @@ __all__ = [
 ]
 
 _4PI = 4.0 * math.pi
+# e^-s is a normal float for s up to this
+_S_NORMAL = -math.log(sys.float_info.min)
 # profiles of at most this many knots are checked, rescaled and measured on
 # Python floats, as quadrature sums them
 _SHORT_KNOTS = _SHORT_PIECES + 1
-# P(a, L) for the moments M_1, M_2 of segment_moments
-_MOMENT_ORDERS = np.array([2.0, 3.0])
 
 
 # every module checks its arguments through these: one rule, one message
@@ -251,15 +252,18 @@ class RadialProfile:
     @classmethod
     def from_dict(cls, d: dict) -> "RadialProfile":
         try:
-            t_support = d["t_support"]
-            knots = d["knots"]
-            s = [k[0] for k in knots]
-            v = [k[1] for k in knots]
-            # a support or knot cell that is not a number (null, {}) raises
-            # TypeError in the constructor
-            return cls(t_support, s, v)
-        except (KeyError, TypeError, IndexError) as exc:
+            t_support, knots = d["t_support"], d["knots"]
+            # a cell that is a list, an object or a word raises here; true
+            # and false read as 1.0 and 0.0, so the cells at 0 and 1 are looked at
+            s, v = (np.fromiter((k[j] for k in knots), float, len(knots)) for j in (0, 1))
+            cells = [t_support] + [knots[i][j] for j, x in enumerate((s, v))
+                                   for i in np.flatnonzero((x == 0.0) | (x == 1.0)).tolist()]
+            if any(type(c) is bool for c in cells):
+                raise TypeError("true or false is no number")
+            t_support = float(t_support)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValueError("profile needs t_support and knots [[s, v], ...]") from exc
+        return cls(t_support, s, v)
 
     @classmethod
     def from_json(cls, text: str) -> "RadialProfile":
@@ -314,27 +318,31 @@ class FunctionalReport:
         }
 
 
+def _plain(v, ds_min, s_end=None):
+    """True when one profile, or every row of a stack, is plain: v_end <=
+    1e153 and every ds > 1e-154 v_end (so no jump), and e^-s_end normal
+    where s_end is given, as the L2 kernel gives it.  Then no slope reaches
+    1e154, and no sum of either array norm kernel, nor 4 pi times the
+    Dirichlet sum, leaves binary64.  _short_plain is this rule on floats,
+    plus v_0 = 0."""
+    # v.T[-1] is a float for one profile, not a 0-d array, and all(x.flat)
+    # costs a fifth of x.all() on one bool
+    v_end = v.T[-1]
+    ok = (ds_min > v_end * 1e-154) & (v_end <= 1e153)
+    return all((ok if s_end is None else ok & (s_end <= _S_NORMAL)).flat)
+
+
 def _dirichlet_sq(v, ds, dv, ds_min):
     """4 pi sum (dv)^2 / ds; inf at a jump (a zero-length piece or v_0 > 0).
     ds_min is the shortest piece, ds.min(axis=-1, initial=inf); a stack of
     profiles gives one value per row."""
-    # with 0 <= dv <= v_end, ds_min > 1e-154 v_end (which rules out a jump)
-    # and v_end <= 1e153 bound the sum by v_end^2 / ds_min < 1e307, so no
-    # term, nor 4 pi times the sum, leaves binary64; past these gates a
-    # stack goes row by row, and a row pays for silencing an overflow to inf
-    plain = (ds_min > v[..., -1] * 1e-154) & (v[..., -1] <= 1e153)
-    if v.ndim > 1:
-        if ((v[:, 0] > 0.0) | ~plain).any():
-            return np.array([_dirichlet_sq(*x) for x in zip(v, ds, dv, ds_min)])
-    elif v[0] > 0.0:
-        return math.inf
-    elif not plain:
-        # a zero-length piece is a jump: knots never repeat without one
-        if not ds.all():
-            return math.inf
-        with np.errstate(over="ignore"):
-            return float(_4PI * (dv * dv / ds).sum())
-    d = _4PI * (dv * dv / ds).sum(axis=-1)
+    if _plain(v, ds_min) and all((v.T[0] == 0.0).flat):
+        d = _4PI * (dv * dv / ds).sum(axis=-1)
+    else:
+        # any other input pays for silencing an overflow to inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d = _4PI * (dv * dv / ds).sum(axis=-1)
+        d = np.where((v.T[0] > 0.0) | (ds_min == 0.0), math.inf, d)
     return d if v.ndim > 1 else float(d)
 
 
@@ -342,26 +350,13 @@ def _l2_sq(t, s, v, ds, dv, ds_min):
     """T int U(s)^2 e^{-s} ds from segment_moments; zero-length pieces add nothing.
     ds_min is as for _dirichlet_sq; a stack of profiles with one t gives
     one value per row."""
-    # the shortest piece finds both rare cases: jumps (ds = 0), and pieces
-    # with ds <= 1e-154 v_end, the only ones where m = dv / ds can reach
-    # 1e154 and m * m overflow; a stack with either is summed row by row
-    if s.ndim > 1:
-        if not (ds_min > v[:, -1] * 1e-154).all():
-            return np.array([_l2_sq(t, *x) for x in zip(s, v, ds, dv, ds_min)])
-        rare = False
-    else:
-        rare = not ds_min > v[-1] * 1e-154
-    a, p0 = s[..., :-1], v[..., :-1]
-    if rare:
-        lin = ds > 0.0
-        a, p0, ds, dv = a[lin], p0[lin], ds[lin], dv[lin]
+    if not _plain(v, ds_min, s.T[-1]):
+        if s.ndim == 1:
+            return _l2_row(t, s, v, ds, dv)
+        return np.array([_l2_row(t, *x) for x in zip(s, v, ds, dv)])
     p1, p2, p3 = segment_moments(ds, 2)
-    if rare:
-        terms = _steep_terms(p0, ds, dv, p1, p2, p3)
-    else:
-        m = dv / ds
-        terms = p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3
-    acc = (np.exp(-a) * terms).sum(axis=-1)
+    p0, m = v[..., :-1], dv / ds
+    acc = (np.exp(-s[..., :-1]) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)).sum(axis=-1)
     if s.ndim == 1:
         return t * (float(acc) + _plateau_sq(float(s[-1]), float(v[-1])))
     ends = zip(acc.tolist(), s[:, -1].tolist(), v[:, -1].tolist())
@@ -370,6 +365,10 @@ def _l2_sq(t, s, v, ds, dv, ds_min):
 
 def _plateau_sq(s_end, v_end):
     """v_end^2 e^-s_end, the plateau's integral over T, on floats via math."""
+    if s_end > _S_NORMAL:
+        # e^-s_end is not normal: e^(-s_end/2) goes into both factors
+        h = v_end * math.exp(-0.5 * s_end)
+        return h * h
     try:
         return v_end ** 2 * math.exp(-s_end)
     except OverflowError:
@@ -377,32 +376,49 @@ def _plateau_sq(s_end, v_end):
         return v_end * (v_end * math.exp(-s_end))
 
 
-def _steep_terms(p0, ds, dv, p1, p2, p3):
-    """_l2_sq's terms where m = dv / ds may overflow: unchanged where finite.
+def _l2_row(t, s, v, ds, dv):
+    """_l2_sq of one profile, unwarned, with the plain sum's bits where that
+    sum is finite and e^-s normal, so it also serves plain rows.
 
-    A term that is not finite is formed again without m, as dv^2 (M_2/ds^2)
+    A term where m = dv / ds overflows is formed without m, as dv^2 (M_2/ds^2)
     + 2 p0 dv (M_1/ds) + p0^2 M_0: M_j ~ ds^(j+1)/(j+1) may underflow where
-    m * m overflows, but then its term is negligible.
+    m * m overflows, but then its term is negligible.  A term whose e^-s is
+    not normal, or whose product with it is not finite, takes e^(-s/2) into
+    both factors of each square, as the plateau does past s = _S_NORMAL.
     """
+    lin = ds > 0.0
+    a, p0, ds, dv = s[:-1][lin], v[:-1][lin], ds[lin], dv[lin]
+    p1, p2, p3 = segment_moments(ds, 2)
+
+    def m_free(k, h=1.0):
+        # the terms at k without m, with h^2 taken into each square
+        hp, hd, d = h * p0[k], h * dv[k], ds[k]
+        return hp * hp * p1[k] + 2.0 * hp * (hd * (p2[k] / d)) + hd * (hd * (p3[k] / d / d))
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m = dv / ds
         terms = p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3
         bad = ~np.isfinite(terms)
         if bad.any():
-            p0, ds, dv, p1, p2, p3 = p0[bad], ds[bad], dv[bad], p1[bad], p2[bad], p3[bad]
-            terms[bad] = p0 * p0 * p1 + 2.0 * p0 * (dv * (p2 / ds)) + dv * (dv * (p3 / ds / ds))
-    return terms
+            terms[bad] = m_free(bad)
+            bad = ~np.isfinite(terms)
+        # e^-a <= 1 keeps a finite term finite
+        bad |= a > _S_NORMAL
+        terms *= np.exp(-a)
+        if bad.any():
+            terms[bad] = m_free(bad, np.exp(-0.5 * a[bad]))
+    return t * (float(terms.sum()) + _plateau_sq(float(s[-1]), float(v[-1])))
 
 
 def _short_plain(p):
     """(s, v, ds, dv) as float lists of a short profile that is plain for
-    both norm kernels: no jump, v_0 = 0, v_end <= 1e153 and every
-    ds > 1e-154 v_end (see _dirichlet_sq).  None for any other profile."""
+    both norm kernels: _plain on floats, plus v_0 = 0.  None for any other
+    profile."""
     if p.n_knots > _SHORT_KNOTS:
         return None
     s, v = p.s.tolist(), p.v.tolist()
     v_end = v[-1]
-    if v[0] > 0.0 or v_end > 1e153:
+    if v[0] > 0.0 or v_end > 1e153 or s[-1] > _S_NORMAL:
         return None
     # the knots are checked: finite, so min sees no nan
     ds = [b - a for a, b in zip(s, s[1:])]
@@ -426,7 +442,6 @@ def _short_l2_sq(t, s, v, ds, dv):
     transcendental, and the sum left to right from 0."""
     acc = 0.0
     for a, p0, d, e in zip(s, v, ds, dv):
-        # one gammainc call rounds each element as a call on it alone would
         p2, p3 = gammainc(_MOMENT_ORDERS, d).tolist()
         p1, p3, m = float(-np.expm1(-d)), 2 * p3, e / d
         acc += float(np.exp(-a)) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)

@@ -84,6 +84,9 @@ _ORDER_RISE = np.array([_least_rise(j) for j in range(4, _SERIES_TERMS, 2)])
 # profile.py shares it: a profile of at most _SHORT_PIECES + 1 knots is also
 # checked, rescaled and measured on floats.
 _SHORT_PIECES = 7
+# P(a, L) for the moments M_1, M_2 of segment_moments: one gammainc call on
+# them rounds each element as a call on it alone would
+_MOMENT_ORDERS = np.array([2.0, 3.0])
 
 
 class ValueOverflowError(OverflowError):
@@ -433,8 +436,8 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
         # segment_moments(length, 2) on a float
         sub = float(-np.expm1(-length))
         if remainder:
-            mom1, mom2 = float(gammainc(2.0, length)), 2 * float(gammainc(3.0, length))
-            sub = (1.0 + w0) * sub + beta * m * (2.0 * v0 * mom1 + m * mom2)
+            p2, p3 = gammainc(_MOMENT_ORDERS, length).tolist()
+            sub = (1.0 + w0) * sub + beta * m * (2.0 * v0 * p2 + m * (2 * p3))
         top = max(dphi, 0.0)
         t1 = float(dawsn(z1) * np.exp(-top))
         t2 = float(dawsn(z1 + h) * np.exp(dphi - top))

@@ -135,3 +135,17 @@ def test_only_the_shared_helpers_raise_the_shared_messages():
     for path in sorted(Path(moser2d.__file__).parent.glob("*.py")):
         found.update(_shared_raises(path))
     assert found == _HELPERS
+
+
+def test_package_exports_each_module_api_once():
+    # moser2d's API is the union of its modules' own __all__ lists, each name
+    # bound to the module's own object
+    from moser2d import equivalence, inequalities, optimizer, profile, quadrature, rearrangement, sequences
+
+    modules = (profile, quadrature, sequences, rearrangement, inequalities, equivalence, optimizer)
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(moser2d.__all__) == sorted(["__version__"] + names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(moser2d, name) is getattr(module, name), name

@@ -298,8 +298,14 @@ def test_file_errors_exit_2(tmp_path):
         {"t_support": {}, "knots": [[0.0, 0.0], [1.0, 0.5]]},
         {"t_support": 1.0, "knots": [[0.0, 0.0], [{}, 0.5]]},
         {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0, {}]]},
+        {"t_support": True, "knots": [[0.0, 0.0], [1.0, 0.5]]},
+        {"t_support": 1.0, "knots": [[0, 0], [True, 1]]},
+        {"t_support": 1.0, "knots": [[0.0, False], [1.0, 0.5]]},
+        {"t_support": 1.0, "knots": [[0, 0], [[1], 1]]},
+        {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0, [0.5]]]},
     ],
-    ids=["null_support", "object_support", "object_s", "object_v"],
+    ids=["null_support", "object_support", "object_s", "object_v", "true_support", "true_s", "false_v",
+         "list_s", "list_v"],
 )
 def test_profile_cell_that_is_not_a_number_exits_2(tmp_path, doc):
     path = tmp_path / "p.json"

@@ -323,24 +323,31 @@ def test_l2_matches_brute_quadrature():
         assert rel_err(l2_norm_sq(p), brute_l2(p)) < 1e-11
 
 
+def _exact_l2(t, s, v):
+    """T times v_end^2 e^-s_end plus the sum of e^-a int_0^ds (v_a + m y)^2
+    e^-y dy over the pieces of positive length, at 50 digits."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        total = mp.mpf(v[-1]) ** 2 * mp.exp(-mp.mpf(s[-1]))
+        for a, b, va, vb in zip(s, s[1:], map(mp.mpf, v), v[1:]):
+            if b == a:
+                continue
+            ds, m = mp.mpf(b) - a, (vb - va) / (mp.mpf(b) - a)
+            mom = [mp.factorial(j) * mp.gammainc(j + 1, 0, ds, regularized=True) for j in range(3)]
+            total += mp.exp(-mp.mpf(a)) * (va * va * mom[0] + 2 * va * m * mom[1] + m * m * mom[2])
+        return float(t * total)
+
+
 @pytest.mark.parametrize(
     "s, v",
     [([0.0, 1e-300], [0.0, 1.0]), ([0.0, 1e-60], [0.0, 1e100]), ([0.0, 1e-160, 2.0], [0.0, 1.0, 3.0])],
     ids=["slope_1e300", "slope_1e160_rise_1e100", "steep_then_gentle"],
 )
 def test_l2_of_steep_pieces_is_finite(s, v):
-    # m * m overflows where M_2(ds) ~ ds^3/3 has underflowed or is tiny;
-    # the exact sum of T e^-a int_0^ds (v_a + m y)^2 e^-y dy, at 50 digits
-    import mpmath as mp
-
+    # m * m overflows where M_2(ds) ~ ds^3/3 has underflowed or is tiny
     p = RadialProfile(1.0, s, v)
-    with mp.workdps(50):
-        total = mp.mpf(v[-1]) ** 2 * mp.exp(-mp.mpf(s[-1]))
-        for a, b, va, vb in zip(s, s[1:], v, v[1:]):
-            ds, m = mp.mpf(b) - a, (mp.mpf(vb) - va) / (mp.mpf(b) - a)
-            mom = [mp.factorial(j) * mp.gammainc(j + 1, 0, ds, regularized=True) for j in range(3)]
-            total += mp.exp(-mp.mpf(a)) * (va * va * mom[0] + 2 * va * m * mom[1] + m * m * mom[2])
-        want = float(total)
+    want = _exact_l2(1.0, s, v)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert rel_err(l2_norm_sq(p), want) < 1e-14
@@ -355,6 +362,29 @@ def test_l2_past_the_square_root_of_binary64_max():
         # int_0^400 (m y)^2 e^-y dy = 2 m^2 P(3, 400); the plateau adds 2e136
         got = l2_norm_sq(RadialProfile(1.0, [0.0, 400.0], [0.0, 1e155]))
     assert rel_err(got, 2.0 * (1e155 / 400.0) ** 2) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "t, s, v",
+    [
+        (1e300, [0.0, 800.0, 801.0], [0.0, 0.0, 1e100]),
+        (1e300, [0.0, 800.0, *(800.0 + np.arange(1, 9) / 8.0)], [0.0, 0.0, *(1e100 * np.arange(1, 9) / 8.0)]),
+        (1.0, [0.0, 800.0, 801.0], [0.0, 0.0, 1e160]),
+        (1.0, [0.0, 800.0, 830.0, 860.0], [0.0, 0.0, 1e155, 2e155]),
+    ],
+    ids=["e_s_underflows_before_t", "refined_on_arrays", "square_past_binary64", "two_pieces_past_binary64"],
+)
+def test_l2_where_e_to_the_minus_s_is_not_normal(t, s, v):
+    # e^-s underflows past s = 708.4, where the pieces and the plateau still
+    # weigh: e^(-s/2) goes into both factors of each square, unwarned; J
+    # itself is past binary64 and raises
+    p = RadialProfile(t, s, v)
+    want = _exact_l2(t, list(s), list(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rel_err(l2_norm_sq(p), want) < 1e-12
+        with pytest.raises(ValueOverflowError):
+            tm_functional(p, 1.0)
 
 
 def test_dirichlet_past_the_square_root_of_binary64_max():

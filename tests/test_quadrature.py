@@ -277,6 +277,25 @@ def test_last_knot_past_the_square_root_of_binary64_max():
         assert exc.value.knot_index == n - 1 and exc.value.knot_v == 1e200
 
 
+def test_sum_past_binary64_names_the_last_knot():
+    # beta c^2 = 700: the constant pieces and the plateau each stay below
+    # the binary64 maximum, and only their sum, about 2.2e308, leaves it;
+    # the last knot takes the blame on the short path (3 knots), the array
+    # path (12) and a one-row stack
+    beta = 4.0 * PI
+    c = math.sqrt(700.0 / beta)
+    t = math.exp(math.log(6.0) + 308.0 * math.log(10.0) - 700.0)
+    profiles = [([0.0, 1.0, 2.0], [0.0, c, c]), (np.linspace(0.0, 1.0, 11).tolist() + [2.0], [0.0] + [c] * 11)]
+    for s, v in profiles:
+        p = RadialProfile(t, s, v)
+        assert q._plateau(math.log(t), p.s, p.v, beta, False)[0] < 1e308
+        with pytest.raises(ValueOverflowError) as exc:
+            q.profile_exp_integral(t, p.s, p.v, beta, 1e-10)
+        assert (exc.value.knot_index, exc.value.knot_s, exc.value.knot_v) == (len(s) - 1, 2.0, c)
+    [got] = q._stack_values([t], p.s[None], p.v[None], beta, 1e-10)
+    assert isinstance(got, ValueOverflowError) and str(got) == str(exc.value)
+
+
 def test_short_series_pieces_do_not_warn():
     # gammainc(41, L) underflows to 0 on routed pieces shorter than about
     # 2e-7; its log is -inf, which the value already handles, on both paths
