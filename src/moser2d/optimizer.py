@@ -13,8 +13,10 @@ seed.
 Most moves fail, so the ascent speculates: it builds the next few moves of
 its permutation from the incumbent, places and scores them as one stack,
 and walks them in order.  The first acceptance discards the rest, which
-were built from the old incumbent.  Each row is computed as it would be
-alone, so the search is the one-move-at-a-time search, bit for bit.
+were built from the old incumbent.  A stack costs about as much as a dozen
+rows, so each batch is as long as the ascent's mean run of failed moves
+per acceptance so far.  Each row is computed as it would be alone, so the
+search is the one-move-at-a-time search, bit for bit, at any batch width.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ __all__ = [
 _4PI = 4.0 * math.pi
 _KINDS = ("reduced", "ruf", "norm_sum")
 # ascend places and scores the next moves of its permutation as one stack:
-# _BATCH_MIN of them after an acceptance, twice as many after each batch
-# without one, up to _BATCH_MAX
+# _BATCH_MIN of them at first and twice as many after each batch until a
+# move is accepted, then its failed moves per acceptance so far; always
+# from _BATCH_MIN to _BATCH_MAX
 _BATCH_MIN, _BATCH_MAX = 4, 32
 
 
@@ -249,9 +252,11 @@ def maximize(
     rejected, where the supremum is infinite.
 
     The starts are placed and scored as one stack, and so are the moves, in
-    speculative batches of _BATCH_MIN to _BATCH_MAX: the result, the trace
-    and the evaluation count are those of trying one move at a time.  An
-    overflow raises ValueOverflowError only at a move the walk reaches.
+    speculative batches of _BATCH_MIN to _BATCH_MAX: a batch doubles until
+    an ascent accepts a move, and then is as long as the ascent's failed
+    moves per acceptance.  The result, the trace and the evaluation count
+    are those of trying one move at a time.  An overflow raises
+    ValueOverflowError only at a move the walk reaches.
     """
     beta = _positive(beta, "beta")
     ceiling = _ceiling(constraint)
@@ -321,6 +326,7 @@ def maximize(
         steps = np.full(n_moves, 0.3)
         gap_floor = 1e-9 * (1.0 + float(s[-1]))
         size = _BATCH_MIN
+        fails = accepts = 0
         while evals < stop_evals and evals < budget:
             perm = rng.permutation(n_moves).tolist()
             pos = 0
@@ -334,7 +340,6 @@ def maximize(
                 s2 = np.array(s2)
                 t2, v2 = _place(constraint, np.array(theta2), s2, np.array(v2))
                 j2 = _stack_values(t2, s2, v2, beta, hot_tol)
-                size = min(2 * size, _BATCH_MAX)
                 for r, k in enumerate(batch):
                     pos += 1
                     # a share at the ceiling or without L2 budget, like a
@@ -351,9 +356,11 @@ def maximize(
                             best_j = j
                             trace.append(j)
                         # the rest of the batch moved from the old incumbent
-                        size = _BATCH_MIN
+                        accepts += 1
                         break
                     steps[k] = max(steps[k] * 0.5, 1e-7)
+                    fails += 1
+                size = min(max(fails // accepts, _BATCH_MIN) if accepts else 2 * size, _BATCH_MAX)
         state[:5] = j, theta, t, s, v
 
     if budget > evals:

@@ -319,16 +319,17 @@ class FunctionalReport:
 
 
 def _plain(v, ds_min, s_end=None):
-    """True when one profile, or every row of a stack, is plain: v_end <=
-    1e153 and every ds > 1e-154 v_end (so no jump), and e^-s_end normal
-    where s_end is given, as the L2 kernel gives it.  Then no slope reaches
-    1e154, and no sum of either array norm kernel, nor 4 pi times the
-    Dirichlet sum, leaves binary64.  _short_plain is this rule on floats,
-    plus v_0 = 0."""
+    """True when one profile, or every row of a stack, is plain: v_end is 0
+    or in [1e-150, 1e153], every ds > 1e-154 v_end (so no jump), and
+    e^-s_end is normal where s_end is given, as the L2 kernel gives it.
+    Then no slope reaches 1e154, no sum of either array norm kernel nor 4 pi
+    times the Dirichlet sum leaves binary64, and no nonzero v_end^2 falls
+    below the normal range before T multiplies it.  _short_plain is this
+    rule on floats, plus v_0 = 0."""
     # v.T[-1] is a float for one profile, not a 0-d array, and all(x.flat)
     # costs a fifth of x.all() on one bool
     v_end = v.T[-1]
-    ok = (ds_min > v_end * 1e-154) & (v_end <= 1e153)
+    ok = (ds_min > v_end * 1e-154) & (v_end <= 1e153) & ((v_end >= 1e-150) | (v_end == 0.0))
     return all((ok if s_end is None else ok & (s_end <= _S_NORMAL)).flat)
 
 
@@ -385,7 +386,12 @@ def _l2_row(t, s, v, ds, dv):
     m * m overflows, but then its term is negligible.  A term whose e^-s is
     not normal, or whose product with it is not finite, takes e^(-s/2) into
     both factors of each square, as the plateau does past s = _S_NORMAL.
+    A profile with 0 < v_end < 1e-150 takes sqrt(T) into both factors of
+    every square, which T would otherwise multiply after they underflow.
     """
+    if 0.0 < v[-1] < 1e-150:
+        h = math.sqrt(t)
+        t, v, dv = 1.0, h * v, h * dv
     lin = ds > 0.0
     a, p0, ds, dv = s[:-1][lin], v[:-1][lin], ds[lin], dv[lin]
     p1, p2, p3 = segment_moments(ds, 2)
@@ -418,7 +424,7 @@ def _short_plain(p):
         return None
     s, v = p.s.tolist(), p.v.tolist()
     v_end = v[-1]
-    if v[0] > 0.0 or v_end > 1e153 or s[-1] > _S_NORMAL:
+    if v[0] > 0.0 or v_end > 1e153 or 0.0 < v_end < 1e-150 or s[-1] > _S_NORMAL:
         return None
     # the knots are checked: finite, so min sees no nan
     ds = [b - a for a, b in zip(s, s[1:])]

@@ -323,10 +323,15 @@ class _Reads(list):
         return super().__getitem__(r)
 
 
-def _batches(monkeypatch, inject=()):
-    """Run a small maximize and return it with the argument t_support and
-    the rows read of every batch scored; batch b's values at rows inject[b]
-    become ValueOverflowError."""
+def _run(kind, n, seed, budget):
+    beta = 2.0 * math.pi if kind == "reduced" else _4PI
+    return maximize(ConstraintSet(kind), beta, n_knots=n, budget=budget, seed=seed)
+
+
+def _batches(monkeypatch, inject=(), case=("ruf", 8, 1, 300)):
+    """Run maximize on case = (kind, n_knots, seed, budget) and return it with
+    the argument t_support and the rows read of every batch scored; batch
+    b's values at rows inject[b] become ValueOverflowError."""
     score, batches = optimizer._stack_values, []
 
     def recording(t_support, s, v, beta, tol):
@@ -338,7 +343,7 @@ def _batches(monkeypatch, inject=()):
 
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_stack_values", recording)
-        res = maximize(ConstraintSet("ruf"), _4PI, n_knots=8, budget=300, seed=1)
+        res = _run(*case)
     return res, batches
 
 
@@ -394,3 +399,32 @@ def test_maximize_is_pinned_bit_for_bit():
         beta = 2.0 * math.pi if kind == "reduced" else _4PI
         res = maximize(ConstraintSet(kind), beta, n_knots=n, budget=budget, seed=seed)
         assert (res.best_value.hex(), _fingerprint(res)) == want, (kind, n, seed, budget)
+
+
+def test_maximize_is_the_same_at_every_batch_width(monkeypatch):
+    # the walk tries one move at a time whatever width its stacks take: one
+    # row per stack, or 32, give the default's fingerprints, also on a run
+    # that accepts about one move in eight
+    high = ("reduced", 16, 0, 3000)
+    want = {case: _PINNED[case][1] for case in [("reduced", 32, 1, 500), ("ruf", 64, 2, 500),
+                                                ("norm_sum", 32, 2, 500)]}
+    want[high] = _fingerprint(_run(*high))
+    for widths in [(1, 1), (32, 32)]:
+        monkeypatch.setattr(optimizer, "_BATCH_MIN", widths[0])
+        monkeypatch.setattr(optimizer, "_BATCH_MAX", widths[1])
+        for case, fingerprint in want.items():
+            assert _fingerprint(_run(*case)) == fingerprint, (widths, case)
+
+
+# (kind, n_knots, seed, budget): (stacks, rows) scored by the search that went
+# back to a batch of _BATCH_MIN after every acceptance
+_WORK_AT_BATCH_MIN = {("ruf", 32, 1, 500): (58, 628), ("reduced", 32, 0, 3000): (386, 3921)}
+
+
+def test_acceptance_rate_sets_fewer_stacks(monkeypatch):
+    # a stack costs about twelve rows; the width that follows the acceptance
+    # rate scores fewer stacks for at most 5% more rows
+    for case, (stacks, rows) in _WORK_AT_BATCH_MIN.items():
+        _, batches = _batches(monkeypatch, case=case)
+        assert len(batches) < stacks, case
+        assert sum(len(t) for t, _ in batches) <= 1.05 * rows, case

@@ -387,6 +387,29 @@ def test_l2_where_e_to_the_minus_s_is_not_normal(t, s, v):
             tm_functional(p, 1.0)
 
 
+@pytest.mark.parametrize("n, c", [(2, 1e-170), (12, 1e-160)], ids=["short_1e-170", "array_1e-160"])
+def test_l2_of_values_whose_squares_underflow(n, c):
+    # v = c s on [0, 1] under T = 1e300: v^2 leaves the normal range before
+    # T multiplies it, so sqrt(T) goes into both factors of each square; the
+    # norm is T c^2 (2 P(3, 1) + e^-1), and a plain row stacked beside it
+    # keeps its own bits
+    import mpmath as mp
+
+    s = np.linspace(0.0, 1.0, n)
+    p = RadialProfile(1e300, s, c * s)
+    with mp.workdps(50):
+        want = float(mp.mpf(1e300) * mp.mpf(c) ** 2 * (2 * mp.gammainc(3, 0, 1, regularized=True) + mp.exp(-1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rel_err(l2_norm_sq(p), want) < 1e-14
+        assert tm_functional(p, 1.0).l2_sq == l2_norm_sq(p)
+        plain = RadialProfile(1e300, s, s)
+        rows = np.array([s, s]), np.array([c * s, s])
+        ds, dv = rows[0][:, 1:] - rows[0][:, :-1], rows[1][:, 1:] - rows[1][:, :-1]
+        got = _l2_sq(1e300, *rows, ds, dv, ds.min(axis=1))
+    assert got.tolist() == [l2_norm_sq(p), l2_norm_sq(plain)]
+
+
 def test_dirichlet_past_the_square_root_of_binary64_max():
     # dv^2 leaves binary64 past v_end = 1.34e154: the energy is inf, unwarned,
     # one profile at a time or in a stack
