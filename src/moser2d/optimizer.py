@@ -144,19 +144,25 @@ class OptimizationResult:
 
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators with unit weights: nondecreasing output.
+    """Pool-adjacent-violators with unit weights: nondecreasing output."""
+    out = y.astype(float)
+    down = (~(y[1:] >= y[:-1])).nonzero()[0]
+    if down.size:
+        _pool(out, int(down[0]), int(down[-1]))
+    return out
+
+
+def _pool(out: np.ndarray, first: int, last: int) -> None:
+    """_isotonic in place on out, whose first and last descents (out[i + 1]
+    below out[i], or nan) are at i = first and i = last.
 
     Only a window pools.  It starts at the first descent, with the sorted
     values before it as singletons that join a block only when it pools back
     past them, and ends at the first value after the last descent that
     does not pool; the blocks and their means are those of the full scan.
     """
-    out = y.astype(float)
-    down = (~(y[1:] >= y[:-1])).nonzero()[0]
-    if not down.size:
-        return out
-    x, last = y.tolist(), int(down[-1])
-    lo = int(down[0]) + 1
+    x = out.tolist()
+    lo = first + 1
     vals, counts = [], []
     for end in range(lo, len(x)):
         vals.append(x[end])
@@ -176,7 +182,6 @@ def _isotonic(y: np.ndarray) -> np.ndarray:
         if end > last and counts[-1] == 1:
             break
     out[lo : end + 1] = np.array(vals).repeat(counts)
-    return out
 
 
 def _ceiling(c: ConstraintSet) -> float:
@@ -193,8 +198,14 @@ def _place(c: ConstraintSet, theta, s: np.ndarray, v: np.ndarray):
     a support beyond binary64.
     """
     v = v.astype(float)
-    for r in (~(v[:, 1:] >= v[:, :-1]).all(axis=1)).nonzero()[0].tolist():
-        v[r] = _isotonic(v[r])
+    # one descent mask finds the unsorted rows and where each descends
+    rows, at = (~(v[:, 1:] >= v[:, :-1])).nonzero()
+    if rows.size:
+        # the first and the last descent of each unsorted row
+        edge = np.flatnonzero(rows[1:] != rows[:-1])
+        first, last = np.append(0, edge + 1), np.append(edge, rows.size - 1)
+        for r, i, j in zip(rows[first].tolist(), at[first].tolist(), at[last].tolist()):
+            _pool(v[r], i, j)
     np.maximum(v, 0.0, out=v)
     v[:, 0] = 0.0
     ds = s[:, 1:] - s[:, :-1]
@@ -323,7 +334,7 @@ def maximize(
     def ascend(state, stop_evals):
         nonlocal best_j, evals
         j, theta, t, s, v = state[:5]
-        steps = np.full(n_moves, 0.3)
+        steps = [0.3] * n_moves
         gap_floor = 1e-9 * (1.0 + float(s[-1]))
         size = _BATCH_MIN
         fails = accepts = 0
@@ -339,6 +350,7 @@ def maximize(
                 moved, theta2, s2, v2 = zip(*cands)
                 s2 = np.array(s2)
                 t2, v2 = _place(constraint, np.array(theta2), s2, np.array(v2))
+                t2 = t2.tolist()
                 j2 = _stack_values(t2, s2, v2, beta, hot_tol)
                 for r, k in enumerate(batch):
                     pos += 1
@@ -350,7 +362,7 @@ def maximize(
                         if isinstance(j2[r], ValueOverflowError):
                             raise j2[r]
                     if placed and j2[r] > j:
-                        j, theta, t, s, v = j2[r], theta2[r], float(t2[r]), s2[r], v2[r]
+                        j, theta, t, s, v = j2[r], theta2[r], t2[r], s2[r], v2[r]
                         steps[k] = min(steps[k] * 2.0, 2.0)
                         if j > best_j:
                             best_j = j

@@ -39,7 +39,8 @@ __all__ = [
 
 _4PI = 4.0 * math.pi
 # e^-s is a normal float for s up to this
-_S_NORMAL = -math.log(sys.float_info.min)
+_NORMAL_MIN = sys.float_info.min
+_S_NORMAL = -math.log(_NORMAL_MIN)
 # profiles of at most this many knots are checked, rescaled and measured on
 # Python floats, as quadrature sums them
 _SHORT_KNOTS = _SHORT_PIECES + 1
@@ -341,9 +342,17 @@ def _dirichlet_sq(v, ds, dv, ds_min):
         d = _4PI * (dv * dv / ds).sum(axis=-1)
     else:
         # any other input pays for silencing an overflow to inf
+        jump = (v.T[0] > 0.0) | (ds_min == 0.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = _4PI * (dv * dv / ds).sum(axis=-1)
-        d = np.where((v.T[0] > 0.0) | (ds_min == 0.0), math.inf, d)
+            sq = dv * dv
+            terms = sq / ds
+            if not all(jump.flat):
+                # where a row can be finite, a term whose dv^2 falls below
+                # the normal range is dv (dv / ds): there dv / ds stays
+                # finite, and normal wherever the term is
+                terms = np.where(sq < _NORMAL_MIN, dv * (dv / ds), terms)
+            d = _4PI * terms.sum(axis=-1)
+        d = np.where(jump, math.inf, d)
     return d if v.ndim > 1 else float(d)
 
 
@@ -355,13 +364,29 @@ def _l2_sq(t, s, v, ds, dv, ds_min):
         if s.ndim == 1:
             return _l2_row(t, s, v, ds, dv)
         return np.array([_l2_row(t, *x) for x in zip(s, v, ds, dv)])
-    p1, p2, p3 = segment_moments(ds, 2)
+    p1, p2, p3 = segment_moments(ds, 2) if s.ndim == 1 else _stack_moments(ds)
     p0, m = v[..., :-1], dv / ds
     acc = (np.exp(-s[..., :-1]) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)).sum(axis=-1)
     if s.ndim == 1:
         return t * (float(acc) + _plateau_sq(float(s[-1]), float(v[-1])))
     ends = zip(acc.tolist(), s[:, -1].tolist(), v[:, -1].tolist())
     return np.array([t * (x + _plateau_sq(s_end, v_end)) for x, s_end, v_end in ends])
+
+
+def _stack_moments(ds):
+    """segment_moments(ds, 2) of a stack of lengths, from one call on row 0
+    and the entries of the other rows that differ from it.  The moments are
+    elementwise, so every entry keeps its bits; the rows of a batch of moves
+    from one incumbent share most lengths."""
+    k = ds.shape[1]
+    diff = ds[1:] != ds[0]
+    out = []
+    for x in segment_moments(np.concatenate((ds[0], ds[1:][diff])), 2):
+        y = np.empty_like(ds)
+        y[:] = x[:k]
+        y[1:][diff] = x[k:]
+        out.append(y)
+    return out
 
 
 def _plateau_sq(s_end, v_end):
@@ -493,6 +518,8 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     if short is not None:
         dir_sq = _short_dirichlet_sq(*short)
         l2_sq = _short_l2_sq(p.t_support, *short)
+        # the short path of profile_exp_integral takes these float lists
+        s, v = short[:2]
     else:
         ds, dv = s[1:] - s[:-1], v[1:] - v[:-1]
         ds_min = ds.min(initial=math.inf)

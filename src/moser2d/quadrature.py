@@ -25,7 +25,10 @@ family members, are summed piece by piece on Python floats, longer ones on
 arrays; both paths give bit-identical results.  The array path also sums a
 stack of profiles at once, giving each row the bits it would get alone; the
 series sums the routed pieces of all rows that share a truncation order and
-a routed-piece count in one pass.
+a routed-piece count in one pass.  _stack_values, the stacked path that
+maximize scores its moves with, computes each row's value only: no error
+term is formed or summed, and routing still weighs each piece's rounding
+against tol.
 """
 
 from __future__ import annotations
@@ -178,9 +181,10 @@ def _series_pass(w0, a, c, length, remainder, order, p):
     return np.sum(coef * scaled, axis=1), tail * scaled[:, -1]
 
 
-def _linear(log_w, v0, m, length, beta, tol, remainder, row):
+def _linear(log_w, v0, m, length, beta, tol, remainder, row, bounds=True):
     """(log piece, log error bound) of linear pieces; log_w = log T - s, and row
-    numbers each piece's profile, nondecreasing.  The caller silences log(0)."""
+    numbers each piece's profile, nondecreasing.  Without bounds the error
+    bound is None and none of its terms is formed.  The caller silences log(0)."""
     rb = math.sqrt(beta)
     rbm, rw0 = rb * m, rb * v0
     w0, z1 = rw0 * rw0, rw0 - 0.5 / rbm
@@ -201,10 +205,12 @@ def _linear(log_w, v0, m, length, beta, tol, remainder, row):
     mag = np.abs(t1) + np.abs(t2) + ts
     log_rbm = np.log(rbm)
     scale = log_w + w0 + top - log_rbm
-    # rounding: _TERM_ULPS ulps per term, one per unit of each exponent summand
-    size = _TERM_ULPS + np.abs(log_w) + w0 + top + np.abs(log_rbm)
     log_piece = scale + np.log(np.maximum(net, 0.0))
-    log_err = scale + np.log(_EPS * mag * size)
+    log_err = None
+    if bounds:
+        # rounding: _TERM_ULPS ulps per term, one per unit of each exponent summand
+        size = _TERM_ULPS + np.abs(log_w) + w0 + top + np.abs(log_rbm)
+        log_err = scale + np.log(_EPS * mag * size)
     # _TERM_ULPS eps kappa > tol, written so that net <= 0 and nan route too
     routed = ~(_TERM_ULPS * _EPS * mag <= tol * net)
     if routed.any():
@@ -214,8 +220,9 @@ def _linear(log_w, v0, m, length, beta, tol, remainder, row):
             total, trunc = _series(rw0[routed], h[routed], length[routed], remainder, row[routed])
             scale = log_w[routed] + w0[routed]
             log_piece[routed] = scale + np.log(total)
-            err = _EPS * total * (_TERM_ULPS + np.abs(log_w[routed]) + w0[routed]) + trunc
-            log_err[routed] = scale + np.log(err)
+            if bounds:
+                err = _EPS * total * (_TERM_ULPS + np.abs(log_w[routed]) + w0[routed]) + trunc
+                log_err[routed] = scale + np.log(err)
     return log_piece, log_err
 
 
@@ -223,38 +230,40 @@ def profile_exp_integral(t_support, s, v, beta, tol, kind="expm1"):
     """Integrate g(beta * u*(t)**2) in measure over the whole support.
 
     s, v: the knot arrays of a profile (s nondecreasing, repeated at jumps;
-    v nondecreasing).  kind selects g: "expm1" for exp(beta u^2) - 1,
-    "remainder" for exp(beta u^2) - 1 - beta u^2.  A linear piece whose
-    closed form cannot promise the relative accuracy tol is summed as a
-    series.  Returns (value, absolute error bound); raises
+    v nondecreasing), or lists of their floats.  kind selects g: "expm1"
+    for exp(beta u^2) - 1, "remainder" for exp(beta u^2) - 1 - beta u^2.  A
+    linear piece whose closed form cannot promise the relative accuracy tol
+    is summed as a series.  Returns (value, absolute error bound); raises
     ValueOverflowError when the value exceeds binary64 range.
     """
     if kind not in ("expm1", "remainder"):
         raise ValueError("kind must be 'expm1' or 'remainder', not %r" % (kind,))
-    s, v = np.asarray(s, dtype=float), np.asarray(v, dtype=float)
-    pieces = _short_pieces if s.size <= _SHORT_PIECES + 1 else _array_pieces
+    # the float lists of a short profile, as tm_functional holds them, go to
+    # the short path as they are
+    if not (type(s) is list and type(v) is list and len(s) <= _SHORT_PIECES + 1):
+        s, v = np.asarray(s, dtype=float), np.asarray(v, dtype=float)
+    pieces = _short_pieces if len(s) <= _SHORT_PIECES + 1 else _array_pieces
     total, err = pieces(math.log(t_support), s, v, beta, tol, kind == "remainder")
     if math.isinf(total):
         raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
     return total, err
 
 
-def _plateau(log_t, s, v, beta, remainder):
-    """(piece, error) of the plateau past the last knot, on floats via math."""
+def _plateau(log_t, s_end, v_end, beta, remainder):
+    """(piece, error) of the plateau past the last knot (s_end, v_end), on
+    floats via math; inf past binary64."""
     try:
-        w = beta * float(v[-1]) ** 2
+        w = beta * v_end**2
     except OverflowError:
         # v_end > 1.34e154: the square alone leaves binary64, beta v_end may not
-        w = beta * float(v[-1]) * float(v[-1])
+        w = beta * v_end * v_end
     g = float(_g_scaled(w, remainder))
     if g <= 0.0:
         return 0.0, 0.0
     lg = math.log(g)
-    lp = log_t - float(s[-1]) + w + lg
-    if lp >= _LOG_MAX:
-        raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
-    piece = math.exp(lp)
-    return piece, _EPS * piece * (_TERM_ULPS + abs(log_t - float(s[-1])) + w - lg)
+    lp = log_t - s_end + w + lg
+    piece = math.inf if lp >= _LOG_MAX else math.exp(lp)
+    return piece, _EPS * piece * (_TERM_ULPS + abs(log_t - s_end) + w - lg)
 
 
 def _array_pieces(log_t, s, v, beta, tol, remainder):
@@ -265,17 +274,18 @@ def _array_pieces(log_t, s, v, beta, tol, remainder):
     return float(total[0]), float(err[0])
 
 
-def _stack_pieces(log_t, s, v, beta, tol, remainder):
+def _stack_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
     """(total, err, blame) of each row of a stack of profiles with one knot
     count, row r with log T = log_t[r]: _array_pieces on the row, bit for bit.
 
     blame[r] is None or the (knot_index, s, v) of the ValueOverflowError
     that _array_pieces raises; nothing raises here.  Each row sums and
     routes its own pieces, so its bits do not depend on the other rows.
+    Without bounds err is None, and no error term is formed or summed.
     """
     n, k = s.shape
     ds, dv = s[:, 1:] - s[:, :-1], v[:, 1:] - v[:, :-1]
-    total, err = np.zeros(n), np.zeros(n)
+    total, err = np.zeros(n), np.zeros(n) if bounds else None
     blame = [None] * n
     # the pieces of all rows, flat in row order: piece i of row r starts at
     # flat knot i + r
@@ -296,22 +306,26 @@ def _stack_pieces(log_t, s, v, beta, tol, remainder):
             lp = log_w + w + lg
             _blame(blame, lp, row, knot, s, v)
             piece = np.exp(lp)
-            # a piece whose g underflowed is 0 times inf: it adds no error
-            # eps first, as on the plateau: a piece near the binary64 maximum
-            # times its ulp count would overflow
-            terms = _EPS * piece * (_TERM_ULPS + np.abs(log_w) + w - lg)
-            terms[np.isnan(terms)] = 0.0
-            piece, terms = _row_sums(row, n, piece, terms)
+            if bounds:
+                # a piece whose g underflowed is 0 times inf: it adds no error
+                # eps first, as on the plateau: a piece near the binary64 maximum
+                # times its ulp count would overflow
+                terms = _EPS * piece * (_TERM_ULPS + np.abs(log_w) + w - lg)
+                terms[np.isnan(terms)] = 0.0
+                piece, terms = _row_sums(row, n, piece, terms)
+                err += terms
+            else:
+                (piece,) = _row_sums(row, n, piece)
             total += piece
-            err += terms
-        for r, lt in enumerate(log_t.tolist()):
-            try:
-                piece, piece_err = _plateau(lt, s[r], v[r], beta, remainder)
-            except ValueOverflowError as exc:
-                blame[r] = blame[r] or (exc.knot_index, exc.knot_s, exc.knot_v)
-                piece = piece_err = math.inf
+        # the plateaus from float columns, which cost less than row views
+        ends = zip(log_t.tolist(), s[:, -1].tolist(), v[:, -1].tolist())
+        for r, end in enumerate(ends):
+            piece, piece_err = _plateau(*end, beta, remainder)
+            if piece == math.inf:
+                blame[r] = blame[r] or (k - 1, s[r, -1], v[r, -1])
             total[r] += piece
-            err[r] += piece_err
+            if bounds:
+                err[r] += piece_err
 
         if lin.any():
             idx = lin.nonzero()[0]
@@ -324,12 +338,15 @@ def _stack_pieces(log_t, s, v, beta, tol, remainder):
             row = idx // (k - 1)
             knot = idx + row
             lp, le = _linear(log_t[row] - s_flat[knot], v_flat[knot], m, length,
-                             beta, tol, remainder, row)
+                             beta, tol, remainder, row, bounds)
             # the exponent is convex along a piece: its right knot is to blame
             _blame(blame, lp, row, knot + 1, s, v)
-            piece, terms = _row_sums(row, n, np.exp(lp), np.exp(np.minimum(le, _LOG_MAX)))
+            if bounds:
+                piece, terms = _row_sums(row, n, np.exp(lp), np.exp(np.minimum(le, _LOG_MAX)))
+                err += terms
+            else:
+                (piece,) = _row_sums(row, n, np.exp(lp))
             total += piece
-            err += terms
     return total, err, blame
 
 
@@ -364,9 +381,10 @@ def _row_sums(row, n, *xs):
 
 def _stack_values(t_support, s, v, beta, tol):
     """profile_exp_integral(t_support[r], s[r], v[r], beta, tol)[0] of each
-    row of a stack, bit for bit, or the ValueOverflowError it would raise."""
+    row of a stack, bit for bit, or the ValueOverflowError it would raise:
+    _stack_pieces without error bounds."""
     log_t = np.array([math.log(t) for t in t_support])
-    total, _, blame = _stack_pieces(log_t, s, v, beta, tol, False)
+    total, _, blame = _stack_pieces(log_t, s, v, beta, tol, False, bounds=False)
     out = total.tolist()
     for r, b in enumerate(blame):
         if b is None and math.isinf(out[r]):
@@ -391,8 +409,10 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
     round differently.  Sums run left to right, as numpy's do below 8
     terms, and the routed pieces go to _series as one profile, as the
     array path sends them: the truncation order follows their largest rise.
+    s, v: float lists, or arrays that it converts to them.
     """
-    s, v = s.tolist(), v.tolist()
+    if type(s) is not list:
+        s, v = s.tolist(), v.tolist()
     const, lin = [], []
     for i in range(len(s) - 1):
         ds, dv = s[i + 1] - s[i], v[i + 1] - v[i]
@@ -417,7 +437,9 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
         term = _EPS * piece * (_TERM_ULPS + abs(log_t - s[i]) + w - lg)
         total += piece
         err += term if term == term else 0.0
-    piece, piece_err = _plateau(log_t, s, v, beta, remainder)
+    piece, piece_err = _plateau(log_t, s[-1], v[-1], beta, remainder)
+    if piece == math.inf:
+        raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
     total += piece
     err += piece_err
 

@@ -22,7 +22,7 @@ from moser2d import (
     tm_functional,
     vanishing_probe,
 )
-from moser2d import optimizer
+from moser2d import optimizer, profile, quadrature
 from moser2d.optimizer import _place
 
 from conftest import brute_j, pool_adjacent_violators, rel_err
@@ -284,31 +284,70 @@ def test_windowed_isotonic_matches_the_full_scan():
         assert optimizer._isotonic(y).tobytes() == pool_adjacent_violators(y).tobytes(), y
 
 
+def _ascent_stack(rng, c, n, rows):
+    """(theta, s, v) of a stack built as ascend builds one: moves from one
+    incumbent, so that the rows share s except the stretch and position
+    rows, with a stretch at row 0 in every other stack; shares at the
+    ceiling and zero shapes place nothing, and raised or lowered knots leave
+    rows to pool."""
+    ceiling = (1.0 - c.delta) ** 2 if c.kind == "reduced" else 1.0
+    s0 = np.concatenate(([0.0], np.cumsum(rng.exponential(0.5, n - 1))))
+    v0 = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1))))
+    theta0 = ceiling * float(rng.uniform(1e-3, 0.9))
+    theta, s, v = [theta0], [s0 * math.exp(rng.uniform(-0.5, 0.5)) if rng.random() < 0.5 else s0], [v0]
+    for _ in range(rows - 1):
+        move, h = int(rng.integers(0, 6)), float(rng.uniform(1e-7, 2.0))
+        share = min(theta0 * math.exp(rng.uniform(-h, h)), ceiling) if move == 1 else theta0
+        theta.append(ceiling if move == 0 else share)
+        s.append(s0 * math.exp(rng.uniform(-h, h)) if move == 2 else s0.copy())
+        v.append(np.zeros(n) if move == 3 else v0.copy())
+        i = int(rng.integers(1, n))
+        if move == 4:
+            v[-1][i] = max(v0[i] + rng.uniform(-h, h), 0.0)
+        if move == 5:
+            s[-1][i] = rng.uniform(s0[i - 1], s0[i + 1] if i + 1 < n else s0[i] + h)
+    return np.array(theta), np.array(s), np.array(v)
+
+
 def test_place_stack_rows_equal_one_row_calls():
     # a stack of 2-40 shapes places each row as a one-row stack places it,
-    # bit for bit: unsorted rows pool, and rows that place nothing get t = inf
+    # bit for bit: unsorted rows pool, and rows that place nothing get t = inf;
+    # on stacks built as ascend builds them the rows share most lengths,
+    # whose L2 moments are evaluated once
     rng = np.random.default_rng(12)
-    pooled = empty = 0
+    pooled = several = empty = shared = apart = 0
     for c in _NON_DEFAULT + (ConstraintSet("reduced"), ConstraintSet("ruf")):
         ceiling = (1.0 - c.delta) ** 2 if c.kind == "reduced" else 1.0
+        stacks = []
         for _ in range(20):
             n, rows = int(rng.integers(2, 40)), int(rng.integers(2, 41))
             s = np.concatenate((np.zeros((rows, 1)), np.cumsum(rng.exponential(0.5, (rows, n - 1)), axis=1)), axis=1)
             v = np.sort(rng.uniform(0.0, 1.0, (rows, n)), axis=1)
             v[::3, int(rng.integers(0, n))] += rng.uniform(-1.0, 1.0)
+            # rows that descend at several knots
+            v[1::4] += rng.normal(0.0, 0.2, v[1::4].shape)
             v[::7] = 0.0
             theta = ceiling * rng.uniform(1e-4, 1.0, rows)
             theta[::5] = ceiling
+            stacks.append((theta, s, v))
+        ascent = [_ascent_stack(rng, c, int(rng.integers(2, 65)), int(rng.integers(3, 33))) for _ in range(20)]
+        # stacks whose later rows share all of row 0's s, or none of it past s = 0
+        shared += sum(bool((s[1:] == s[0]).all(axis=1).any()) for _, s, _ in ascent)
+        apart += sum(bool((s[1:, 1:] != s[0, 1:]).all()) for _, s, _ in ascent)
+        for theta, s, v in stacks + ascent:
             t, w = _place(c, theta, s, v)
-            for r in range(rows):
+            for r in range(len(theta)):
                 one_t, one_w = _place(c, theta[r : r + 1], s[r : r + 1], v[r : r + 1])
                 if one_t[0] == math.inf:
                     empty += 1
                     assert t[r] == math.inf
                 else:
-                    pooled += not (v[r][1:] >= v[r][:-1]).all()
+                    descents = int((~(v[r][1:] >= v[r][:-1])).sum())
+                    pooled += descents > 0
+                    several += descents > 1
                     assert t[r] == one_t[0] and np.array_equal(w[r], one_w[0])
-    assert pooled > 50 and empty > 50
+                    assert (w[r][1:] >= w[r][:-1]).all()
+    assert pooled > 100 and several > 100 and empty > 100 and shared > 30 and apart > 30
 
 
 class _Reads(list):
@@ -428,3 +467,25 @@ def test_acceptance_rate_sets_fewer_stacks(monkeypatch):
         _, batches = _batches(monkeypatch, case=case)
         assert len(batches) < stacks, case
         assert sum(len(t) for t, _ in batches) <= 1.05 * rows, case
+
+
+# the lengths that reached segment_moments on (ruf, 4 pi, 32 knots, budget
+# 500, seed 1) when every row of a stack evaluated its own L2 moments: from
+# the norm kernels, and from the linear pieces of the quadrature
+_MOMENT_LENGTHS_PER_ROW = {"profile": 19933, "quadrature": 18990}
+
+
+def test_stack_rows_share_their_moments(monkeypatch):
+    # the rows of a batch are moves from one incumbent and share most piece
+    # lengths: their L2 moments are evaluated on row 0 and on the lengths
+    # of the other rows that differ from it
+    lengths = dict.fromkeys(_MOMENT_LENGTHS_PER_ROW, 0)
+    for name, module in [("profile", profile), ("quadrature", quadrature)]:
+        def counting(length, k, name=name, moments=module.segment_moments):
+            lengths[name] += np.size(length)
+            return moments(length, k)
+
+        monkeypatch.setattr(module, "segment_moments", counting)
+    _run("ruf", 32, 1, 500)
+    assert lengths["profile"] < 0.2 * _MOMENT_LENGTHS_PER_ROW["profile"]
+    assert sum(lengths.values()) < 0.6 * sum(_MOMENT_LENGTHS_PER_ROW.values())

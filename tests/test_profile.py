@@ -410,6 +410,31 @@ def test_l2_of_values_whose_squares_underflow(n, c):
     assert got.tolist() == [l2_norm_sq(p), l2_norm_sq(plain)]
 
 
+@pytest.mark.parametrize("n", [2, 12], ids=["one_piece", "eleven_pieces"])
+def test_dirichlet_of_differences_whose_squares_underflow(n):
+    # v = 1e-70 s on [0, 1e-100]: every dv^2 leaves the normal range but
+    # dv^2 / ds does not, so the guarded path forms dv (dv / ds); the energy
+    # is 4 pi 1e-240 (the sum over the stored knots' exact differences), and
+    # a plain row stacked beside it keeps its own bits
+    import mpmath as mp
+
+    s, v = np.linspace(0.0, 1e-100, n), np.linspace(0.0, 1e-170, n)
+    p = RadialProfile(1.0, s, v)
+    with mp.workdps(50):
+        x, y = [mp.mpf(float(a)) for a in s], [mp.mpf(float(a)) for a in v]
+        want = float(4 * mp.pi * sum((y[i + 1] - y[i]) ** 2 / (x[i + 1] - x[i]) for i in range(n - 1)))
+    assert rel_err(want, 4.0 * PI * 1e-240) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rel_err(dirichlet_norm_sq(p), want) < 1e-14
+        assert tm_functional(p, 1.0).dirichlet_sq == dirichlet_norm_sq(p)
+        plain = RadialProfile(1.0, s, s)
+        vs = np.array([v, s])
+        ds = np.array([s[1:] - s[:-1]] * 2)
+        got = _dirichlet_sq(vs, ds, vs[:, 1:] - vs[:, :-1], ds.min(axis=1))
+    assert got.tolist() == [dirichlet_norm_sq(p), dirichlet_norm_sq(plain)]
+
+
 def test_dirichlet_past_the_square_root_of_binary64_max():
     # dv^2 leaves binary64 past v_end = 1.34e154: the energy is inf, unwarned,
     # one profile at a time or in a stack

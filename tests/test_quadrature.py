@@ -171,6 +171,49 @@ def test_stack_rows_equal_one_row_calls(remainder, monkeypatch):
     assert blamed == {0, 1, 2}
 
 
+def test_stack_values_equal_profile_exp_integral(monkeypatch):
+    # _stack_values forms no error term: each row's value is
+    # profile_exp_integral(...)[0] bit for bit, or the ValueOverflowError it
+    # raises, on stacks with constant pieces, routed pieces, rows that
+    # overflow and rows past v_end = 1.34e154, whose square alone leaves
+    # binary64 (there beta = 3e-308 keeps the plateau finite)
+    routed = []
+    series = q._series
+
+    def recording_series(rw0, h, length, remainder, row=None):
+        routed.append(h.size)
+        return series(rw0, h, length, remainder, row)
+
+    monkeypatch.setattr(q, "_series", recording_series)
+    rng = np.random.default_rng(26)
+    const = big = overflow = 0
+    for trial in range(80):
+        k = int(rng.choice([2, 3, 5, 9, 33]))
+        beta = [1.0, 3e-308, 4.0 * PI, float(rng.uniform(0.5, 300.0))][trial % 4]
+        tol = float(rng.choice([1e-6, 1e-10, 1e-14]))
+        rows = [(math.exp(rng.uniform(-4.0, 4.0)), *_knots(rng, k)) for _ in range(int(rng.integers(1, 41)))]
+        if beta == 1.0:
+            rows += [(1.0, *make(k)) for make, _ in _OVERFLOWS if make(k) is not None]
+        if beta == 3e-308:
+            # v_end from 3e153 to 3e154, on both sides of 1.34e154
+            rows = [(t, s, (np.array(v) * (10.0 ** rng.uniform(153.5, 154.5) / max(v[-1], 1e-3))).tolist())
+                    for t, s, v in rows]
+        t = [row[0] for row in rows]
+        s, v = np.array([row[1] for row in rows]), np.array([row[2] for row in rows])
+        got = q._stack_values(t, s, v, beta, tol)
+        for r in range(len(rows)):
+            try:
+                want = q.profile_exp_integral(t[r], s[r], v[r], beta, tol)[0]
+            except ValueOverflowError as exc:
+                assert isinstance(got[r], ValueOverflowError) and str(got[r]) == str(exc), (s[r], v[r])
+                overflow += 1
+            else:
+                assert got[r].hex() == want.hex(), (s[r], v[r], beta, tol)
+                big += v[r, -1] > 1.34e154
+            const += bool(((s[r, 1:] > s[r, :-1]) & (v[r, 1:] == v[r, :-1]) & (v[r, :-1] > 0.0)).any())
+    assert routed and const > 100 and big > 50 and overflow > 30
+
+
 def _routing_knots(rng, routed, k, beta):
     # k knots from v_0 = 0: first `routed` pieces that the series takes at
     # tol 1e-14 (w rises by at most 1 on them), the first by 1e-12 to 0.8, so
@@ -288,7 +331,7 @@ def test_sum_past_binary64_names_the_last_knot():
     profiles = [([0.0, 1.0, 2.0], [0.0, c, c]), (np.linspace(0.0, 1.0, 11).tolist() + [2.0], [0.0] + [c] * 11)]
     for s, v in profiles:
         p = RadialProfile(t, s, v)
-        assert q._plateau(math.log(t), p.s, p.v, beta, False)[0] < 1e308
+        assert q._plateau(math.log(t), 2.0, c, beta, False)[0] < 1e308
         with pytest.raises(ValueOverflowError) as exc:
             q.profile_exp_integral(t, p.s, p.v, beta, 1e-10)
         assert (exc.value.knot_index, exc.value.knot_s, exc.value.knot_v) == (len(s) - 1, 2.0, c)
