@@ -25,7 +25,7 @@ from .profile import (
     l2_norm_sq,
     tm_functional,
 )
-from .quadrature import profile_exp_integral
+from .quadrature import _exp_integral
 
 __all__ = [
     "InequalityReport",
@@ -190,13 +190,21 @@ def at_quadratic_bound(beta: float) -> float:
 
 
 def remainder_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> float:
-    """Integral of e^{beta u^2} - 1 - beta u^2: the superquadratic part of J."""
+    """Integral of e^{beta u^2} - 1 - beta u^2: the superquadratic part of J.
+
+    profile_exp_integral(..., kind="remainder")[0] bit for bit, or the
+    ValueOverflowError it raises, without forming its error bound.  Where
+    tm_functional takes J from the L2 norm (0 < v_end < 1e-150 and
+    beta v_end^2 <= 2^-53) the remainder is at most about
+    beta^2 T v_end^4 / 2.  On RadialProfile(1e300, [0, 1], [0, 1e-170]) at
+    beta = 1, and on its 12-knot collinear refinement at 1e-160, that is
+    below 1e-340, so the 0.0 returned there is the correctly rounded value.
+    """
     beta = _positive(beta, "beta")
     tol = _tol(tol)
     if p.is_zero:
         return 0.0
-    value, _ = profile_exp_integral(p.t_support, p.s, p.v, beta, tol, kind="remainder")
-    return value
+    return _exp_integral(p.t_support, p.s, p.v, beta, tol, remainder=True, bounds=False)[0]
 
 
 def zcharact_bound(p: RadialProfile, lam: float, tol: float = 1e-10) -> float:

@@ -22,9 +22,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
-from .quadrature import _MOMENT_ORDERS, _SHORT_PIECES, profile_exp_integral, segment_moments
+from .quadrature import _EPS, _SHORT_PIECES, _TERM_ULPS, _gammainc_float, profile_exp_integral, segment_moments
 
 __all__ = [
     "RadialProfile",
@@ -341,16 +340,16 @@ def _dirichlet_sq(v, ds, dv, ds_min):
     if _plain(v, ds_min) and all((v.T[0] == 0.0).flat):
         d = _4PI * (dv * dv / ds).sum(axis=-1)
     else:
-        # any other input pays for silencing an overflow to inf
+        # any other input pays for silencing an overflow to inf; a row that
+        # jumps is inf, and when every row does no term is formed
         jump = (v.T[0] > 0.0) | (ds_min == 0.0)
+        if all(jump.flat):
+            return np.full(jump.shape, math.inf) if v.ndim > 1 else math.inf
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             sq = dv * dv
-            terms = sq / ds
-            if not all(jump.flat):
-                # where a row can be finite, a term whose dv^2 falls below
-                # the normal range is dv (dv / ds): there dv / ds stays
-                # finite, and normal wherever the term is
-                terms = np.where(sq < _NORMAL_MIN, dv * (dv / ds), terms)
+            # a term whose dv^2 falls below the normal range is dv (dv / ds):
+            # there dv / ds stays finite, and normal wherever the term is
+            terms = np.where(sq < _NORMAL_MIN, dv * (dv / ds), sq / ds)
             d = _4PI * terms.sum(axis=-1)
         d = np.where(jump, math.inf, d)
     return d if v.ndim > 1 else float(d)
@@ -473,8 +472,8 @@ def _short_l2_sq(t, s, v, ds, dv):
     transcendental, and the sum left to right from 0."""
     acc = 0.0
     for a, p0, d, e in zip(s, v, ds, dv):
-        p2, p3 = gammainc(_MOMENT_ORDERS, d).tolist()
-        p1, p3, m = float(-np.expm1(-d)), 2 * p3, e / d
+        p1, p2, p3 = float(-np.expm1(-d)), _gammainc_float(2.0, d), 2 * _gammainc_float(3.0, d)
+        m = e / d
         acc += float(np.exp(-a)) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)
     return t * (acc + _plateau_sq(s[-1], v[-1]))
 
@@ -510,6 +509,13 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     or a positive Taylor series where that would cancel below tol (see
     quadrature).  Raises ValueOverflowError when the true value exceeds
     binary64 range.
+
+    Where 0 < v_end < 1e-150 and beta v_end^2 <= 2^-53, J is beta times
+    the L2 norm, which folds sqrt(T) into its squares: the quadrature
+    squares v before T multiplies and would lose J to underflow.  There
+    J = beta ||u||_2^2 (1 + d) with 0 <= d <= beta v_end^2, and quad_error
+    reports beta v_end^2 plus _TERM_ULPS eps for the norm's rounding.  A
+    norm or a J below the normal range keeps the quadrature.
     """
     beta = _positive(beta, "beta")
     tol = _tol(tol)
@@ -527,6 +533,10 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
         l2_sq = _l2_sq(p.t_support, s, v, ds, dv, ds_min)
     if p.is_zero:
         return FunctionalReport(0.0, dir_sq, l2_sq, 0.0)
+    v_end = float(v[-1])
+    # beta v_end first, as Python multiplies: v_end^2 alone may underflow
+    if v_end < 1e-150 and beta * v_end * v_end <= 0.5 * _EPS and min(l2_sq, beta * l2_sq) >= _NORMAL_MIN:
+        return FunctionalReport(beta * l2_sq, dir_sq, l2_sq, beta * v_end * v_end + _TERM_ULPS * _EPS)
     value, abs_err = profile_exp_integral(p.t_support, s, v, beta, tol, kind="expm1")
     rel = abs_err / value if value > 0.0 else 0.0
     return FunctionalReport(value, dir_sq, l2_sq, rel)

@@ -25,10 +25,14 @@ family members, are summed piece by piece on Python floats, longer ones on
 arrays; both paths give bit-identical results.  The array path also sums a
 stack of profiles at once, giving each row the bits it would get alone; the
 series sums the routed pieces of all rows that share a truncation order and
-a routed-piece count in one pass.  _stack_values, the stacked path that
-maximize scores its moves with, computes each row's value only: no error
-term is formed or summed, and routing still weighs each piece's rounding
-against tol.
+a routed-piece count in one pass.
+
+Both paths can compute values only (bounds=False): no error term is formed
+or summed, and routing still weighs each piece's rounding against tol, so
+every value keeps its bits.  Two callers read no error bound and take it:
+remainder_functional, on either path, and _stack_values, the stacked path
+that maximize scores its moves with.  profile_exp_integral, and with it
+tm_functional, forms the bound.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ import sys
 
 import numpy as np
 from scipy.special import dawsn, gammainc
+# P(a, x) of one Python float, with the ufunc's bits at a third of its call cost
+from scipy.special.cython_special import gammainc as _gammainc_float
 
 __all__ = ["ValueOverflowError", "profile_exp_integral", "segment_moments"]
 
@@ -87,9 +93,6 @@ _ORDER_RISE = np.array([_least_rise(j) for j in range(4, _SERIES_TERMS, 2)])
 # profile.py shares it: a profile of at most _SHORT_PIECES + 1 knots is also
 # checked, rescaled and measured on floats.
 _SHORT_PIECES = 7
-# P(a, L) for the moments M_1, M_2 of segment_moments: one gammainc call on
-# them rounds each element as a call on it alone would
-_MOMENT_ORDERS = np.array([2.0, 3.0])
 
 
 class ValueOverflowError(OverflowError):
@@ -122,6 +125,11 @@ def segment_moments(length, k: int):
 def _g_scaled(w, remainder):
     """g(w) e^-w for w >= 0: P(1, w) = 1 - e^-w, or P(2, w) for the remainder."""
     return gammainc(2.0, w) if remainder else -np.expm1(-w)
+
+
+def _g_scaled_float(w, remainder):
+    """_g_scaled of a Python float, bit for bit, as a float."""
+    return _gammainc_float(2.0, w) if remainder else float(-np.expm1(-w))
 
 
 def _series(rw0, h, length, remainder, row=None):
@@ -238,12 +246,18 @@ def profile_exp_integral(t_support, s, v, beta, tol, kind="expm1"):
     """
     if kind not in ("expm1", "remainder"):
         raise ValueError("kind must be 'expm1' or 'remainder', not %r" % (kind,))
+    return _exp_integral(t_support, s, v, beta, tol, kind == "remainder")
+
+
+def _exp_integral(t_support, s, v, beta, tol, remainder, bounds=True):
+    """profile_exp_integral of g chosen by remainder; without bounds the
+    error bound is None and no error term is formed."""
     # the float lists of a short profile, as tm_functional holds them, go to
     # the short path as they are
     if not (type(s) is list and type(v) is list and len(s) <= _SHORT_PIECES + 1):
         s, v = np.asarray(s, dtype=float), np.asarray(v, dtype=float)
     pieces = _short_pieces if len(s) <= _SHORT_PIECES + 1 else _array_pieces
-    total, err = pieces(math.log(t_support), s, v, beta, tol, kind == "remainder")
+    total, err = pieces(math.log(t_support), s, v, beta, tol, remainder, bounds)
     if math.isinf(total):
         raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
     return total, err
@@ -257,7 +271,7 @@ def _plateau(log_t, s_end, v_end, beta, remainder):
     except OverflowError:
         # v_end > 1.34e154: the square alone leaves binary64, beta v_end may not
         w = beta * v_end * v_end
-    g = float(_g_scaled(w, remainder))
+    g = _g_scaled_float(w, remainder)
     if g <= 0.0:
         return 0.0, 0.0
     lg = math.log(g)
@@ -266,12 +280,13 @@ def _plateau(log_t, s_end, v_end, beta, remainder):
     return piece, _EPS * piece * (_TERM_ULPS + abs(log_t - s_end) + w - lg)
 
 
-def _array_pieces(log_t, s, v, beta, tol, remainder):
-    """(sum, error bound) of a profile's pieces and plateau, piece kinds batched on arrays."""
-    total, err, blame = _stack_pieces(np.array([log_t]), s[None], v[None], beta, tol, remainder)
+def _array_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
+    """(sum, error bound) of a profile's pieces and plateau, piece kinds
+    batched on arrays; without bounds the error bound is None."""
+    total, err, blame = _stack_pieces(np.array([log_t]), s[None], v[None], beta, tol, remainder, bounds)
     if blame[0] is not None:
         raise ValueOverflowError(*blame[0])
-    return float(total[0]), float(err[0])
+    return float(total[0]), float(err[0]) if bounds else None
 
 
 def _stack_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
@@ -401,7 +416,7 @@ def _log(x):
     return -math.inf if x == 0.0 else math.nan
 
 
-def _short_pieces(log_t, s, v, beta, tol, remainder):
+def _short_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
     """_array_pieces one piece at a time on Python floats, bit for bit.
 
     Every operation is the array path's, in its order, including the
@@ -409,7 +424,8 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
     round differently.  Sums run left to right, as numpy's do below 8
     terms, and the routed pieces go to _series as one profile, as the
     array path sends them: the truncation order follows their largest rise.
-    s, v: float lists, or arrays that it converts to them.
+    s, v: float lists, or arrays that it converts to them.  Without bounds
+    the error bound is None and no error term is formed.
     """
     if type(s) is not list:
         s, v = s.tolist(), v.tolist()
@@ -424,7 +440,7 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
     ws, lgs, lps = [], [], []
     for i in const:
         w = beta * (v[i] * v[i])
-        lg = _log(_g_scaled(w, remainder) * -np.expm1(-(s[i + 1] - s[i])))
+        lg = _log(_g_scaled_float(w, remainder) * -np.expm1(-(s[i + 1] - s[i])))
         ws.append(w)
         lgs.append(lg)
         lps.append(log_t - s[i] + w + lg)
@@ -434,9 +450,10 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
     total = err = 0.0
     for i, w, lg, lp in zip(const, ws, lgs, lps):
         piece = float(np.exp(lp))
-        term = _EPS * piece * (_TERM_ULPS + abs(log_t - s[i]) + w - lg)
         total += piece
-        err += term if term == term else 0.0
+        if bounds:
+            term = _EPS * piece * (_TERM_ULPS + abs(log_t - s[i]) + w - lg)
+            err += term if term == term else 0.0
     piece, piece_err = _plateau(log_t, s[-1], v[-1], beta, remainder)
     if piece == math.inf:
         raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
@@ -444,7 +461,7 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
     err += piece_err
 
     if not lin:
-        return total, err
+        return total, err if bounds else None
     rb = math.sqrt(beta)
     lps, les, routed, batch = [], [], [], []
     for i in lin:
@@ -458,7 +475,7 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
         # segment_moments(length, 2) on a float
         sub = float(-np.expm1(-length))
         if remainder:
-            p2, p3 = gammainc(_MOMENT_ORDERS, length).tolist()
+            p2, p3 = _gammainc_float(2.0, length), _gammainc_float(3.0, length)
             sub = (1.0 + w0) * sub + beta * m * (2.0 * v0 * p2 + m * (2 * p3))
         top = max(dphi, 0.0)
         t1 = float(dawsn(z1) * np.exp(-top))
@@ -468,9 +485,10 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
         mag = abs(t1) + abs(t2) + ts
         log_rbm = float(np.log(rbm))
         scale = log_w + w0 + top - log_rbm
-        size = _TERM_ULPS + abs(log_w) + w0 + top + abs(log_rbm)
         lps.append(scale + _log(max(net, 0.0)))
-        les.append(scale + _log(_EPS * mag * size))
+        if bounds:
+            size = _TERM_ULPS + abs(log_w) + w0 + top + abs(log_rbm)
+            les.append(scale + _log(_EPS * mag * size))
         if not _TERM_ULPS * _EPS * mag <= tol * net and h * (2.0 * rw0 + h) <= _SERIES_MAX_RISE:
             routed.append((len(lps) - 1, log_w, w0))
             batch.append((rw0, h, length))
@@ -480,12 +498,14 @@ def _short_pieces(log_t, s, v, beta, tol, remainder):
         for (k, log_w, w0), sum_k, trunc_k in zip(routed, total_r.tolist(), trunc.tolist()):
             scale = log_w + w0
             lps[k] = scale + _log(sum_k)
-            les[k] = scale + _log(_EPS * sum_k * (_TERM_ULPS + abs(log_w) + w0) + trunc_k)
+            if bounds:
+                les[k] = scale + _log(_EPS * sum_k * (_TERM_ULPS + abs(log_w) + w0) + trunc_k)
     if any(lp >= _LOG_MAX for lp in lps):
         j = lin[int(np.argmax(lps))] + 1
         raise ValueOverflowError(j, s[j], v[j])
     piece_sum = err_sum = 0.0
-    for lp, le in zip(lps, les):
+    for lp in lps:
         piece_sum += float(np.exp(lp))
+    for le in les:
         err_sum += float(np.exp(min(le, _LOG_MAX)))
-    return total + piece_sum, err + err_sum
+    return total + piece_sum, err + err_sum if bounds else None

@@ -4,9 +4,11 @@ The Moser sequence, the Alvino extremals and the Zygmund-optimal caps are
 one truncated logarithm: a rise in s = log(T/t) from 0 to sqrt(k/(4 pi))
 over [0, k], then a plateau, with unit Dirichlet energy.  _cap builds it
 and _cap_l2_sq gives its L2 norm; the counterexample and modified-Moser
-families rescale it.  FAMILIES is the one table of families, naming each
-one's builder, parameters and closed-form norms, so a single table drives
-SequenceSpec, the test suite and the CLI.
+families rescale it.  _cap builds every member from its final knots at
+once, with the float arithmetic of dilating and rescaling moser(n).
+FAMILIES is the one table of families, naming each one's builder,
+parameters and closed-form norms, so a single table drives SequenceSpec,
+the test suite and the CLI.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+import numpy as np
 from scipy.special import gammainc
 
-from .profile import RadialProfile, _positive, l2_norm_sq, scale_amplitude, scale_dilate
+from .profile import RadialProfile, _check_knots, _positive, l2_norm_sq
 
 __all__ = [
     "FAMILIES",
@@ -42,9 +45,19 @@ _2PI = 2.0 * math.pi
 _4PI = 4.0 * math.pi
 
 
-def _cap(t_support: float, k: float) -> RadialProfile:
-    """Rise from 0 to sqrt(k/(4 pi)) over s in [0, k], then a plateau."""
-    return RadialProfile(t_support, [0.0, k], [0.0, math.sqrt(k / _4PI)])
+def _cap(t_support: float, k: float, a: float = 1.0) -> RadialProfile:
+    """Rise from 0 to sqrt(k/(4 pi)) a over s in [0, k], then a plateau.
+
+    Every caller passes a k > 0 and an a in (0, 1]: the knots are valid
+    once k is finite, and only moser's k = 2 log n can be inf or nan.
+    The knots are checked before t_support, as the constructor does.
+    """
+    s, v = np.array((0.0, k)), np.array((0.0, math.sqrt(k / _4PI) * a))
+    if not k < math.inf:
+        _check_knots(s, v)
+    s.setflags(write=False)
+    v.setflags(write=False)
+    return RadialProfile._from_checked(t_support, s, v)
 
 
 def _cap_l2_sq(t_support: float, k: float) -> float:
@@ -103,7 +116,10 @@ def counterexample(n: int) -> RadialProfile:
     terminal plateau alone.
     """
     r, lam = counterexample_scales(n)
-    return scale_amplitude(scale_dilate(moser(n), 1.0 / r), lam)
+    t, k = _moser_args(n)
+    # scale_amplitude(scale_dilate(moser(n), b), lam), b = 1/R_n
+    b = 1.0 / r
+    return _cap(t / (b * b), k, lam)
 
 
 def counterexample_l2_sq(n) -> float:
@@ -170,9 +186,10 @@ def alvino_l2_sq(t_support, delta) -> float:
 
 def modified_moser(n: int) -> RadialProfile:
     """moser(n) shrunk by (1 - ||w_n||_2): feasible for the sum-norm ball."""
-    w = moser(n)
-    a = math.sqrt(l2_norm_sq(w))
-    return scale_amplitude(w, 1.0 - a)
+    t, k = _moser_args(n)
+    # scale_amplitude(moser(n), 1 - a)
+    a = math.sqrt(l2_norm_sq(_cap(t, k)))
+    return _cap(t, k, 1.0 - a)
 
 
 def modified_moser_norms(n) -> dict:

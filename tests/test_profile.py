@@ -197,6 +197,11 @@ def test_dirichlet_exact_and_infinite_cases():
     # positive value at the support edge is an implicit jump
     edge = RadialProfile(2.0, [0.0, 1.0], [0.5, 1.0])
     assert dirichlet_norm_sq(edge) == math.inf
+    # where every row jumps (v_0 > 0, or a zero-length piece) the energy
+    # is inf before any term is formed: the differences are not read
+    assert _dirichlet_sq(edge.v, None, None, 1.0) == math.inf
+    v = np.array([[0.5, 1.0, 1.5], [0.0, 1.0, 2.0]])
+    assert _dirichlet_sq(v, None, None, np.array([1.0, 0.0])).tolist() == [math.inf, math.inf]
 
 
 def test_tm_functional_norms_equal_the_norm_functions():
@@ -408,6 +413,38 @@ def test_l2_of_values_whose_squares_underflow(n, c):
         ds, dv = rows[0][:, 1:] - rows[0][:, :-1], rows[1][:, 1:] - rows[1][:, :-1]
         got = _l2_sq(1e300, *rows, ds, dv, ds.min(axis=1))
     assert got.tolist() == [l2_norm_sq(p), l2_norm_sq(plain)]
+
+
+@pytest.mark.parametrize("n, c", [(2, 1e-170), (12, 1e-160)], ids=["short_1e-170", "array_1e-160"])
+def test_j_of_values_whose_squares_underflow(n, c):
+    # v = c s on [0, 1] under T = 1e300 with beta = 1: the quadrature would
+    # square v before T multiplies, so J is beta times the L2 norm, which
+    # is J to within beta c^2 = 1e-340 relative; quad_error says so.  The
+    # remainder, below beta^2 T c^4 / 2 < 1e-340, is 0.0, correctly rounded
+    import mpmath as mp
+
+    s = np.linspace(0.0, 1.0, n)
+    p = RadialProfile(1e300, s, c * s)
+    with mp.workdps(50):
+        r, x = [mp.mpf(float(a)) for a in s], [mp.mpf(float(a)) for a in c * s]
+        # U rises linearly from x_i to x_i+1 over [r_i, r_i+1], then the
+        # plateau; mp.quad stops on an absolute error, so it integrates
+        # expm1(U^2)/c^2
+        c2 = mp.mpf(c) ** 2
+        pieces = [mp.quad(lambda y, i=i: mp.expm1((x[i] + (x[i + 1] - x[i]) * (y - r[i]) / (r[i + 1] - r[i])) ** 2)
+                          / c2 * mp.exp(-y), [r[i], r[i + 1]]) for i in range(n - 1)]
+        want = float(mp.mpf(1e300) * c2 * (mp.fsum(pieces) + mp.expm1(x[-1] ** 2) / c2 * mp.exp(-1)))
+        rem = mp.mpf(1e300) * mp.mpf(c) ** 4 / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = tm_functional(p, 1.0)
+        assert remainder_functional(p, 1.0) == 0.0
+    # below half the least subnormal: 0.0 is the nearest float
+    assert rem < mp.mpf(5e-324) / 2
+    assert report.j_beta == report.l2_sq
+    assert rel_err(report.j_beta, want) < 1e-14
+    assert report.quad_error == 1.0 * c * c + quadrature._TERM_ULPS * quadrature._EPS
+    assert rel_err(report.j_beta, want) <= report.quad_error
 
 
 @pytest.mark.parametrize("n", [2, 12], ids=["one_piece", "eleven_pieces"])

@@ -378,3 +378,101 @@ def test_steep_pieces_count_as_jumps():
     # ten steep pieces leave the array path no linear piece at all
     p = RadialProfile(1.0, np.arange(11) * 1e-308, np.arange(11) * 0.5)
     assert tm_functional(p, 4.0 * PI).j_beta == remainder_functional(p, 4.0 * PI) == want.j_beta
+
+
+def test_remainder_functional_equals_profile_exp_integral(monkeypatch):
+    # remainder_functional forms no error bound: its value is
+    # profile_exp_integral(..., "remainder")[0] bit for bit, or the same
+    # ValueOverflowError, on the short path (2-5 knots) and the array path
+    # (9, 33), with jumps, v_0 > 0, constant pieces, routed pieces,
+    # overflowing profiles and v_end past 1.34e154 (at beta = 3e-308)
+    routed = []
+    series = q._series
+
+    def recording_series(rw0, h, length, remainder, row=None):
+        routed.append(h.size)
+        return series(rw0, h, length, remainder, row)
+
+    monkeypatch.setattr(q, "_series", recording_series)
+    rng = np.random.default_rng(27)
+    seen = dict.fromkeys(["short", "array", "jump", "v0", "const", "big", "overflow"], 0)
+    for trial in range(240):
+        k = int(rng.choice([2, 3, 5, 9, 33]))
+        beta = [1.0, 3e-308, 4.0 * PI, float(rng.uniform(0.5, 300.0))][trial % 4]
+        tol = float(rng.choice([1e-6, 1e-10, 1e-14]))
+        t, (s, v) = math.exp(rng.uniform(-4.0, 4.0)), _knots(rng, k)
+        if beta == 1.0 and trial % 8 == 0:
+            t, (s, v) = 1.0, _OVERFLOWS[trial // 8 % 3][0](k) or (s, v)
+        if beta == 3e-308:
+            # v_end from 3e153 to 3e154, on both sides of 1.34e154
+            v = (np.array(v) * (10.0 ** rng.uniform(153.5, 154.5) / max(v[-1], 1e-3))).tolist()
+        p = RadialProfile(t, s, v)
+        try:
+            want = q.profile_exp_integral(t, p.s, p.v, beta, tol, "remainder")[0]
+        except ValueOverflowError as exc:
+            with pytest.raises(ValueOverflowError) as got:
+                remainder_functional(p, beta, tol)
+            assert (got.value.knot_index, got.value.knot_s, got.value.knot_v) == (
+                exc.knot_index, exc.knot_s, exc.knot_v)
+            seen["overflow"] += 1
+        else:
+            assert remainder_functional(p, beta, tol).hex() == want.hex(), (s, v, beta, tol)
+            seen["big"] += v[-1] > 1.34e154
+        ds, dv = np.diff(p.s), np.diff(p.v)
+        seen["short" if k <= q._SHORT_PIECES + 1 else "array"] += 1
+        seen["jump"] += bool((ds == 0.0).any())
+        seen["v0"] += v[0] > 0.0
+        seen["const"] += bool(((ds > 0.0) & (dv == 0.0) & (p.v[:-1] > 0.0)).any())
+    assert routed and min(seen.values()) >= 10, seen
+
+
+def test_remainder_functional_asks_no_path_for_a_bound(monkeypatch):
+    # remainder_functional reads no error bound, so neither summation path
+    # is asked for one; tm_functional still is
+    import inspect
+
+    asked = []
+
+    def spy(name):
+        original = getattr(q, name)
+        signature = inspect.signature(original)
+
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            asked.append((name, bound.arguments.get("bounds", True)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(q, name, recording)
+
+    for name in ("_short_pieces", "_stack_pieces", "_linear"):
+        spy(name)
+    short = RadialProfile(2.0, [0.0, 0.5, 1.0], [0.0, 0.2, 0.2])
+    long = RadialProfile(2.0, np.linspace(0.0, 3.0, 33), np.linspace(0.0, 0.9, 33))
+    for p in (short, long):
+        remainder_functional(p, 4.0 * PI)
+    assert {name for name, _ in asked} == {"_short_pieces", "_stack_pieces", "_linear"}
+    assert not any(bounds for _, bounds in asked), asked
+    del asked[:]
+    for p in (short, long):
+        tm_functional(p, 4.0 * PI)
+    assert asked and all(bounds for _, bounds in asked)
+
+
+def test_scalar_gammainc_matches_the_ufunc():
+    # the float path calls P(a, x) through cython_special on one Python
+    # float: it must give the ufunc's bits, for the orders the float path
+    # uses (2, 3) and the series' 41, on a seeded sample spanning subnormal
+    # to large arguments and on the special values
+    from scipy.special import gammainc
+
+    rng = np.random.default_rng(28)
+    special = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300, math.inf, -1.0, math.nan]
+    xs = np.concatenate((special, 10.0 ** rng.uniform(-323.0, 3.5, 60000), rng.uniform(0.0, 50.0, 20000)))
+    for a in (2.0, 3.0, 41.0):
+        got = [q._gammainc_float(a, x) for x in xs.tolist()]
+        assert all(type(g) is float for g in got)
+        assert [g.hex() for g in got] == [float(w).hex() for w in gammainc(a, xs)], a
+    for remainder in (False, True):
+        got = [q._g_scaled_float(w, remainder) for w in xs[:2000].tolist()]
+        assert [g.hex() for g in got] == [float(w).hex() for w in q._g_scaled(xs[:2000], remainder)]

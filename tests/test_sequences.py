@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moser2d import (
+    RadialProfile,
     SequenceSpec,
     alvino_extremal,
     alvino_l2_sq,
@@ -22,9 +23,12 @@ from moser2d import (
     moser,
     moser_l2_sq,
     oracle_rows,
+    scale_amplitude,
+    scale_dilate,
     tm_functional,
     zygmund_optimal,
 )
+from moser2d.sequences import _alvino_args, _cap_args, _moser_args
 
 from conftest import brute_l2, plateau_term, rel_err
 
@@ -234,3 +238,71 @@ def test_sequence_spec_validation():
     spec = SequenceSpec("cap", {"k": 4.0, "r": 2.0})
     p = spec.build()
     assert p.t_support == pytest.approx(4.0 * math.pi, rel=1e-15)
+
+
+# the families as composed before each member was built at once: a cap
+# through the checking constructor, then dilated and rescaled
+def _cap_ref(t_support, k):
+    return RadialProfile(t_support, [0.0, k], [0.0, math.sqrt(k / (4.0 * math.pi))])
+
+
+def _moser_ref(n):
+    return _cap_ref(*_moser_args(n))
+
+
+def _counterexample_ref(n):
+    r, lam = counterexample_scales(n)
+    return scale_amplitude(scale_dilate(_moser_ref(n), 1.0 / r), lam)
+
+
+def _modified_moser_ref(n):
+    w = _moser_ref(n)
+    return scale_amplitude(w, 1.0 - math.sqrt(l2_norm_sq(w)))
+
+
+_BUILDERS = [
+    (moser, _moser_ref),
+    (counterexample, _counterexample_ref),
+    (modified_moser, _modified_moser_ref),
+    (cap, lambda k, r: _cap_ref(*_cap_args(k, r))),
+    (alvino_extremal, lambda t, d: _cap_ref(*_alvino_args(t, d))),
+]
+
+
+def _build(builder, args):
+    try:
+        return builder(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def test_family_members_equal_their_composition():
+    # each member is built from its final knots at once, with the float
+    # arithmetic of the composition: the same t_support and knot bytes,
+    # read-only, and the same message for every rejected argument
+    inf, nan = math.inf, math.nan
+    ns = [3, 4, 10, 10**6, 10**300, 10**100000, 2.5, 1e300, 2, 1, 0, -3, inf, nan]
+    args = {
+        moser: [(n,) for n in ns],
+        counterexample: [(n,) for n in ns],
+        modified_moser: [(n,) for n in ns],
+        cap: [(k, r) for k in (1.0, 4.0, 16.0, 64.0, 1e300, 0.5, -1.0, inf, nan)
+              for r in (0.5, 1.0, 2.0, 1e-200, 1e200, 0.0, -2.0, inf, nan)],
+        alvino_extremal: [(t, d) for t in (math.pi, 10.0, 1e-300, 0.0, inf, nan)
+                          for d in (math.e, math.exp(4.0), 1.0 + 2e-16, 1e300, 1.0, 0.5, inf, nan)],
+    }
+    rejected = set()
+    for builder, reference in _BUILDERS:
+        for a in args[builder]:
+            got, want = _build(builder, a), _build(reference, a)
+            if isinstance(want, str):
+                assert got == want, (builder.__name__, a)
+                rejected.add(want)
+                continue
+            assert got.t_support.hex() == want.t_support.hex(), (builder.__name__, a)
+            for x, y in ((got.s, want.s), (got.v, want.v)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (builder.__name__, a)
+                assert not x.flags.writeable
+    # the builders' own checks and the constructor's both spoke
+    assert {"ValueError: knots must be finite", "ValueError: n must be >= 3 so that log log n > 0",
+            "ValueError: t_support must be positive and finite"} <= rejected
