@@ -160,8 +160,29 @@ def _pool(out: np.ndarray, first: int, last: int) -> None:
     values before it as singletons that join a block only when it pools back
     past them, and ends at the first value after the last descent that
     does not pool; the blocks and their means are those of the full scan.
+
+    One descent (first == last) makes a single block, grown from x[first + 1]
+    by the scan's own merges: it pulls back every larger value before it,
+    takes the next value after it while its mean exceeds that value, and
+    repeats.  Each merge is the scan's (m k + x)/(k + 1), whose x * 1 is
+    exact and whose sum commutes, so the block's mean has the scan's bits.
     """
     x = out.tolist()
+    if first == last:
+        lo = hi = first + 1
+        m, k = x[lo], 1
+        while True:
+            if lo > 0 and x[lo - 1] > m:
+                lo -= 1
+                m = (m * k + x[lo]) / (k + 1)
+            elif hi + 1 < len(x) and m > x[hi + 1]:
+                hi += 1
+                m = (m * k + x[hi]) / (k + 1)
+            else:
+                break
+            k += 1
+        out[lo : hi + 1] = m
+        return
     lo = first + 1
     vals, counts = [], []
     for end in range(lo, len(x)):
@@ -202,8 +223,8 @@ def _place(c: ConstraintSet, theta, s: np.ndarray, v: np.ndarray):
     rows, at = (~(v[:, 1:] >= v[:, :-1])).nonzero()
     if rows.size:
         # the first and the last descent of each unsorted row
-        edge = np.flatnonzero(rows[1:] != rows[:-1])
-        first, last = np.append(0, edge + 1), np.append(edge, rows.size - 1)
+        first, last = np.ones((2, rows.size), dtype=bool)
+        first[1:] = last[:-1] = rows[1:] != rows[:-1]
         for r, i, j in zip(rows[first].tolist(), at[first].tolist(), at[last].tolist()):
             _pool(v[r], i, j)
     np.maximum(v, 0.0, out=v)

@@ -510,12 +510,14 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     quadrature).  Raises ValueOverflowError when the true value exceeds
     binary64 range.
 
-    Where 0 < v_end < 1e-150 and beta v_end^2 <= 2^-53, J is beta times
-    the L2 norm, which folds sqrt(T) into its squares: the quadrature
-    squares v before T multiplies and would lose J to underflow.  There
-    J = beta ||u||_2^2 (1 + d) with 0 <= d <= beta v_end^2, and quad_error
-    reports beta v_end^2 plus _TERM_ULPS eps for the norm's rounding.  A
-    norm or a J below the normal range keeps the quadrature.
+    Where 0 < v_end < 1e-150 and beta v_end^2 <= 2^-53, J is the L2 norm
+    under support beta T, which folds sqrt(beta T) into its squares (where
+    beta T overflows, the norm of sqrt(beta) u under T): the quadrature
+    squares v before T multiplies, and beta times a norm that underflowed
+    would lose J as well.  J = beta ||u||_2^2 (1 + d) there, with
+    0 <= d <= beta v_end^2, and quad_error reports beta v_end^2 plus
+    _TERM_ULPS eps for the norm's rounding.  A J below the normal range
+    keeps the quadrature.
     """
     beta = _positive(beta, "beta")
     tol = _tol(tol)
@@ -535,8 +537,15 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
         return FunctionalReport(0.0, dir_sq, l2_sq, 0.0)
     v_end = float(v[-1])
     # beta v_end first, as Python multiplies: v_end^2 alone may underflow
-    if v_end < 1e-150 and beta * v_end * v_end <= 0.5 * _EPS and min(l2_sq, beta * l2_sq) >= _NORMAL_MIN:
-        return FunctionalReport(beta * l2_sq, dir_sq, l2_sq, beta * v_end * v_end + _TERM_ULPS * _EPS)
+    if v_end < 1e-150 and beta * v_end * v_end <= 0.5 * _EPS:
+        bt = beta * p.t_support
+        if bt < math.inf:
+            j = _l2_row(bt, s, v, ds, dv)
+        else:
+            rb = math.sqrt(beta)
+            j = _l2_row(p.t_support, s, rb * v, ds, rb * dv)
+        if j >= _NORMAL_MIN:
+            return FunctionalReport(j, dir_sq, l2_sq, beta * v_end * v_end + _TERM_ULPS * _EPS)
     value, abs_err = profile_exp_integral(p.t_support, s, v, beta, tol, kind="expm1")
     rel = abs_err / value if value > 0.0 else 0.0
     return FunctionalReport(value, dir_sq, l2_sq, rel)

@@ -142,18 +142,22 @@ def _series(rw0, h, length, remainder, row=None):
     row numbers each piece's profile, nondecreasing (None: one profile).
     Each profile is summed to the order its own largest rise asks for, and
     the profiles of one order and piece count share one pass, which gives
-    every profile the bits of a call on its pieces alone.
+    every profile the bits of a call on its pieces alone.  When all of them
+    share one, the pass runs on the pieces as given: a gather of every
+    piece would copy the same values.
     """
     w0, a, c = rw0 * rw0, 2.0 * rw0 * h, h * h
     rise = a + c
     if row is None or row[0] == row[-1]:
         order = np.searchsorted(_ORDER_RISE, rise.max(), side="right")
         return _series_pass(w0, a, c, length, remainder, 4 + 2 * int(order), rise.size)
-    start = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-    count = np.diff(np.r_[start, row.size])
+    start = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+    count = np.diff(np.concatenate((start, [row.size])))
     order = np.searchsorted(_ORDER_RISE, np.maximum.reduceat(rise, start), side="right")
     # count < row.size: the key gives back both
     key = order * row.size + count
+    if (key == key[0]).all():
+        return _series_pass(w0, a, c, length, remainder, 4 + 2 * int(order[0]), int(count[0]))
     total, trunc = np.empty(row.size), np.empty(row.size)
     for k in np.unique(key).tolist():
         at = np.repeat(key == k, count)
@@ -378,19 +382,22 @@ def _blame(blame, lp, row, knot, s, v):
 def _row_sums(row, n, *xs):
     """The sum of each of n rows' entries of every x in xs, whose entries
     come in row order, row[i] for entry i.  Rows with one count are summed
-    as the rows of a 2-d array, which numpy sums as it would each row alone."""
+    as the rows of a 2-d array, which numpy sums as it would each row alone.
+    Ragged rows are packed to the left of a zero array and summed under the
+    mask of their entries: numpy hands each row's run of held entries to
+    the pairwise sum in one call, so each row keeps the bits of
+    x[row == r].sum(), an empty row 0.0."""
     if n == 1:
         return [x.sum(keepdims=True) for x in xs]
     count = np.bincount(row, minlength=n)
     if (count == count[0]).all():
         return [x.reshape(n, -1).sum(axis=1) for x in xs]
-    out = [np.zeros(n) for _ in xs]
-    start = np.cumsum(count) - count
-    for c in set(count.tolist()) - {0}:
-        rows = (count == c).nonzero()[0]
-        at = start[rows, None] + np.arange(c)
-        for o, x in zip(out, xs):
-            o[rows] = x[at].sum(axis=1)
+    held = np.arange(count.max()) < count[:, None]
+    out = []
+    for x in xs:
+        packed = np.zeros(held.shape)
+        packed[held] = x
+        out.append(packed.sum(axis=1, where=held))
     return out
 
 

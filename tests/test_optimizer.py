@@ -284,6 +284,45 @@ def test_windowed_isotonic_matches_the_full_scan():
         assert optimizer._isotonic(y).tobytes() == pool_adjacent_violators(y).tobytes(), y
 
 
+def test_single_descent_pool_matches_the_full_scan():
+    # a value move leaves one descent, which _pool grows as one block by the
+    # scan's own merges: up moves past 1 to n-1 knots, down moves back to
+    # knot 0, ties with a neighbour, zeros and nan or inf values.  A second
+    # move leaves two or more descents, which take the windowed scan.  Both
+    # must give the full scan's bits
+    rng = np.random.default_rng(19)
+    specials = [0.0, math.inf, -math.inf, math.nan]
+    seen = {"single": 0, "multi": 0, "to_knot_0": 0, "past_all": 0, "tie": 0, "special": 0}
+
+    def moved(y):
+        i, j = (int(x) for x in rng.integers(0, y.size, 2))
+        z = y.copy()
+        if rng.random() < 0.1:
+            z[i] = specials[int(rng.integers(0, 4))]
+            seen["special"] += 1
+        else:
+            # to knot j's value, or just above or below it
+            z[i] = y[j] + (0.0, 1e-3, -1e-3)[int(rng.integers(0, 3))] * abs(float(rng.normal()))
+            seen["tie"] += i != j and z[i] == y[j]
+            seen["to_knot_0"] += j == 0 and z[i] < y[0]
+            seen["past_all"] += i == 0 and j == y.size - 1 and z[i] > y[-1]
+        return z
+
+    for trial in range(3000):
+        n = int(rng.integers(2, 70))
+        # sorted values, with ties and zeros in every fourth array
+        y = np.sort(rng.integers(0, 6, n).astype(float) if trial % 4 == 0 else rng.normal(size=n))
+        z = moved(y)
+        for x in (z, moved(z)):
+            down = (~(x[1:] >= x[:-1])).nonzero()[0]
+            if down.size:
+                out = x.copy()
+                optimizer._pool(out, int(down[0]), int(down[-1]))
+                assert out.tobytes() == pool_adjacent_violators(x).tobytes(), x
+                seen["single" if down[0] == down[-1] else "multi"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def _ascent_stack(rng, c, n, rows):
     """(theta, s, v) of a stack built as ascend builds one: moves from one
     incumbent, so that the rows share s except the stretch and position

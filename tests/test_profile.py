@@ -447,6 +447,66 @@ def test_j_of_values_whose_squares_underflow(n, c):
     assert rel_err(report.j_beta, want) <= report.quad_error
 
 
+def _small_j_oracle(p, beta):
+    """J of a profile with beta v_end^2 <= 2^-53 in 40-digit arithmetic:
+    expm1(beta U^2) to its beta^2 U^4 / 2 term, whose successors are below
+    (beta v_end^2)^2 relative, on each piece as binomial sums of the lower
+    incomplete gamma function, whose terms are all positive."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        b, total = mp.mpf(beta), mp.mpf(0)
+        s, v = [mp.mpf(x) for x in p.s.tolist()], [mp.mpf(x) for x in p.v.tolist()]
+        for i in range(len(s) - 1):
+            length = s[i + 1] - s[i]
+            if length == 0:
+                continue
+            p0, m = v[i], (v[i + 1] - v[i]) / length
+            for n, w in ((2, b), (4, b * b / 2)):
+                total += w * mp.exp(-s[i]) * mp.fsum(
+                    mp.binomial(n, j) * p0 ** (n - j) * m**j * mp.gammainc(j + 1, 0, length) for j in range(n + 1))
+        total += mp.expm1(b * v[-1] ** 2) * mp.exp(-s[-1])
+        return mp.mpf(p.t_support) * total
+
+
+def test_j_where_the_l2_norm_itself_underflows():
+    # T v^2 = 6.2e-327 underflows to a zero norm, but J = beta T v^2 is
+    # normal: sqrt(beta T) goes into both factors of the square
+    p = RadialProfile(8048594573.065798, [0.0], [8.765829485823317e-169])
+    report = tm_functional(p, 4.29408085898762e55)
+    assert report.l2_sq == 0.0
+    assert rel_err(report.j_beta, 2.65568344610731984e-271) < 1e-15
+    assert rel_err(report.j_beta, float(_small_j_oracle(p, 4.29408085898762e55))) <= report.quad_error
+
+
+def test_j_of_small_profiles_matches_mpmath():
+    # 200 seeded profiles of 1-12 knots, jumps and v_0 > 0 among them, with
+    # v_end in [1e-300, 1e-150.5], T up to 1e300 and beta up to where
+    # beta v_end^2 = 2^-53 (or binary64 ends): beta T overflows in most
+    rng = np.random.default_rng(2024)
+    normal = overflowed = 0
+    for _ in range(200):
+        k = int(rng.integers(1, 13))
+        ds = rng.uniform(0.01, 3.0, k - 1)
+        ds[1::2] *= rng.random(ds[1::2].size) > 0.3
+        v = np.cumsum(rng.uniform(0.01, 1.0, k))
+        v[0] *= k == 1 or rng.random() > 0.3
+        v_end = 10.0 ** rng.uniform(-300.0, -150.5)
+        t = 10.0 ** rng.uniform(-10.0, 300.0)
+        top = min(math.log10(0.5 * quadrature._EPS) - 2.0 * math.log10(v_end), 308.0)
+        beta = 10.0 ** rng.uniform(top - 200.0, top)
+        p = RadialProfile(t, np.concatenate(([0.0], np.cumsum(ds))), v / v[-1] * v_end)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = tm_functional(p, beta)
+        want = float(_small_j_oracle(p, beta))
+        if want >= np.finfo(float).tiny:
+            normal += 1
+            overflowed += beta * t == math.inf
+            assert rel_err(report.j_beta, want) <= report.quad_error, (p, beta)
+    assert normal > 180 and 20 < overflowed < normal - 20
+
+
 @pytest.mark.parametrize("n", [2, 12], ids=["one_piece", "eleven_pieces"])
 def test_dirichlet_of_differences_whose_squares_underflow(n):
     # v = 1e-70 s on [0, 1e-100]: every dv^2 leaves the normal range but

@@ -292,6 +292,30 @@ def test_profile_slices_multiply_as_separate_products():
             assert whole[i].tobytes() == (head[i] @ tail).tobytes(), (p, g, order)
 
 
+def test_ragged_row_sums_are_each_rows_own_sum():
+    # _row_sums sums rows of different lengths under one mask: numpy must
+    # hand each row's entries to the pairwise sum as one run, also past its
+    # 128-entry blocks, so that every row has the bits of its own sum
+    rng = np.random.default_rng(19)
+    specials = [0.0, math.inf, -math.inf, math.nan]
+    for trial in range(600):
+        n = int(rng.integers(2, 41))
+        count = rng.integers(0, 301 if trial % 2 else 20, n)
+        count[int(rng.integers(0, n))] = 0
+        count[int(rng.integers(0, n))] += 1
+        row = np.repeat(np.arange(n), count)
+        xs = [rng.standard_normal(row.size) * 10.0 ** rng.uniform(-30.0, 30.0, row.size)
+              for _ in range(1 + trial % 2)]
+        for x in xs:
+            at = rng.integers(0, row.size, int(rng.integers(0, 4)))
+            x[at] = [specials[i] for i in rng.integers(0, 4, at.size)]
+        # inf - inf is nan, as _stack_pieces silences it
+        with np.errstate(invalid="ignore"):
+            got = q._row_sums(row, n, *xs)
+            want = [np.array([x[row == r].sum() for r in range(n)]) for x in xs]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (trial, count)
+
+
 def test_truncation_order_thresholds_match_the_order_loop():
     # J = 4 + 2 (thresholds at or below the rise) is the first even J >= 4
     # with 1e18 rise^(J/2-1) <= (J/2+1)!, capped at _SERIES_TERMS
