@@ -511,13 +511,12 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     binary64 range.
 
     Where 0 < v_end < 1e-150 and beta v_end^2 <= 2^-53, J is the L2 norm
-    under support beta T, which folds sqrt(beta T) into its squares (where
-    beta T overflows, the norm of sqrt(beta) u under T): the quadrature
-    squares v before T multiplies, and beta times a norm that underflowed
-    would lose J as well.  J = beta ||u||_2^2 (1 + d) there, with
-    0 <= d <= beta v_end^2, and quad_error reports beta v_end^2 plus
-    _TERM_ULPS eps for the norm's rounding.  A J below the normal range
-    keeps the quadrature.
+    of sqrt(beta T) u under support 1, whose squares are at J's scale: the
+    quadrature squares v before T multiplies, and beta times a norm that
+    underflowed, or T times squares that did, would lose J as well.  There
+    J = beta ||u||_2^2 (1 + d) with 0 <= d <= beta v_end^2, and quad_error
+    reports beta v_end^2 plus _TERM_ULPS eps for the norm's rounding.  A J
+    below the normal range keeps the quadrature.
     """
     beta = _positive(beta, "beta")
     tol = _tol(tol)
@@ -538,12 +537,9 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     v_end = float(v[-1])
     # beta v_end first, as Python multiplies: v_end^2 alone may underflow
     if v_end < 1e-150 and beta * v_end * v_end <= 0.5 * _EPS:
-        bt = beta * p.t_support
-        if bt < math.inf:
-            j = _l2_row(bt, s, v, ds, dv)
-        else:
-            rb = math.sqrt(beta)
-            j = _l2_row(p.t_support, s, rb * v, ds, rb * dv)
+        # h v_end <= sqrt(T) 2^-26.5, and h <= sqrt(max) sqrt(max) is finite
+        h = math.sqrt(beta) * math.sqrt(p.t_support)
+        j = _l2_row(1.0, s, h * v, ds, h * dv)
         if j >= _NORMAL_MIN:
             return FunctionalReport(j, dir_sq, l2_sq, beta * v_end * v_end + _TERM_ULPS * _EPS)
     value, abs_err = profile_exp_integral(p.t_support, s, v, beta, tol, kind="expm1")

@@ -142,9 +142,7 @@ def _series(rw0, h, length, remainder, row=None):
     row numbers each piece's profile, nondecreasing (None: one profile).
     Each profile is summed to the order its own largest rise asks for, and
     the profiles of one order and piece count share one pass, which gives
-    every profile the bits of a call on its pieces alone.  When all of them
-    share one, the pass runs on the pieces as given: a gather of every
-    piece would copy the same values.
+    every profile the bits of a call on its pieces alone.
     """
     w0, a, c = rw0 * rw0, 2.0 * rw0 * h, h * h
     rise = a + c
@@ -156,8 +154,6 @@ def _series(rw0, h, length, remainder, row=None):
     order = np.searchsorted(_ORDER_RISE, np.maximum.reduceat(rise, start), side="right")
     # count < row.size: the key gives back both
     key = order * row.size + count
-    if (key == key[0]).all():
-        return _series_pass(w0, a, c, length, remainder, 4 + 2 * int(order[0]), int(count[0]))
     total, trunc = np.empty(row.size), np.empty(row.size)
     for k in np.unique(key).tolist():
         at = np.repeat(key == k, count)

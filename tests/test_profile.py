@@ -507,6 +507,31 @@ def test_j_of_small_profiles_matches_mpmath():
     assert normal > 180 and 20 < overflowed < normal - 20
 
 
+def test_j_of_small_profiles_whose_mass_lies_far_out_matches_mpmath():
+    # sqrt(beta) v_end near 1e-150 with the mass past s = 20: (sqrt(beta) v)^2
+    # e^-s is subnormal before T multiplies, though J is normal.  The first
+    # profile is the worked case; 40 seeded ones follow, beta T overflowing
+    # in most
+    cases = [(RadialProfile(1e250, [0.0, 29.0, 30.0], [0.0, 0.0, 1.5e-200]), 1e100)]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        k = int(rng.integers(2, 8))
+        s = np.concatenate(([0.0], rng.uniform(20.0, 35.0) + np.cumsum(rng.uniform(0.1, 3.0, k - 1))))
+        v = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, k - 1))))
+        v_exp = rng.uniform(-300.0, -151.0)
+        # log10 of sqrt(beta) v_end in [-152, -140], beta inside binary64
+        beta = 10.0 ** min(2.0 * (rng.uniform(-152.0, -140.0) - v_exp), 308.0)
+        cases.append((RadialProfile(10.0 ** rng.uniform(150.0, 300.0), s, v / v[-1] * 10.0**v_exp), beta))
+    checked = 0
+    for p, beta in cases:
+        report = tm_functional(p, beta)
+        want = float(_small_j_oracle(p, beta))
+        if want >= np.finfo(float).tiny:
+            checked += 1
+            assert rel_err(report.j_beta, want) <= report.quad_error, (p, beta)
+    assert checked > 30
+
+
 @pytest.mark.parametrize("n", [2, 12], ids=["one_piece", "eleven_pieces"])
 def test_dirichlet_of_differences_whose_squares_underflow(n):
     # v = 1e-70 s on [0, 1e-100]: every dv^2 leaves the normal range but
