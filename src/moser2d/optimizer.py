@@ -143,66 +143,29 @@ class OptimizationResult:
         }
 
 
-def _isotonic(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators with unit weights: nondecreasing output."""
-    out = y.astype(float)
-    down = (~(y[1:] >= y[:-1])).nonzero()[0]
-    if down.size:
-        _pool(out, int(down[0]), int(down[-1]))
-    return out
-
-
-def _pool(out: np.ndarray, first: int, last: int) -> None:
-    """_isotonic in place on out, whose first and last descents (out[i + 1]
-    below out[i], or nan) are at i = first and i = last.
-
-    Only a window pools.  It starts at the first descent, with the sorted
-    values before it as singletons that join a block only when it pools back
-    past them, and ends at the first value after the last descent that
-    does not pool; the blocks and their means are those of the full scan.
-
-    One descent (first == last) makes a single block, grown from x[first + 1]
-    by the scan's own merges: it pulls back every larger value before it,
-    takes the next value after it while its mean exceeds that value, and
-    repeats.  Each merge is the scan's (m k + x)/(k + 1), whose x * 1 is
-    exact and whose sum commutes, so the block's mean has the scan's bits.
+def _pool(out: np.ndarray, i: int) -> None:
+    """Pool the descent at i (out[i + 1] below out[i], or nan) of out in
+    place, as one block grown from out[i + 1] by the merges of the
+    pool-adjacent-violators scan: it pulls back every larger value before
+    it, takes the next value after it while its mean exceeds that value,
+    and repeats.  Each merge is the scan's (m k + x)/(k + 1), whose x * 1
+    is exact and whose sum commutes, so where i is the only descent the
+    block's mean has the full scan's bits.
     """
     x = out.tolist()
-    if first == last:
-        lo = hi = first + 1
-        m, k = x[lo], 1
-        while True:
-            if lo > 0 and x[lo - 1] > m:
-                lo -= 1
-                m = (m * k + x[lo]) / (k + 1)
-            elif hi + 1 < len(x) and m > x[hi + 1]:
-                hi += 1
-                m = (m * k + x[hi]) / (k + 1)
-            else:
-                break
-            k += 1
-        out[lo : hi + 1] = m
-        return
-    lo = first + 1
-    vals, counts = [], []
-    for end in range(lo, len(x)):
-        vals.append(x[end])
-        counts.append(1)
-        while True:
-            if len(vals) == 1 and lo > 0 and x[lo - 1] > vals[0]:
-                # the block pools back past a sorted value before the window
-                lo -= 1
-                vals.insert(0, x[lo])
-                counts.insert(0, 1)
-            elif len(vals) == 1 or not vals[-2] > vals[-1]:
-                break
-            c = counts.pop()
-            t = vals.pop()
-            vals[-1] = (vals[-1] * counts[-1] + t * c) / (counts[-1] + c)
-            counts[-1] += c
-        if end > last and counts[-1] == 1:
+    lo = hi = i + 1
+    m, k = x[lo], 1
+    while True:
+        if lo > 0 and x[lo - 1] > m:
+            lo -= 1
+            m = (m * k + x[lo]) / (k + 1)
+        elif hi + 1 < len(x) and m > x[hi + 1]:
+            hi += 1
+            m = (m * k + x[hi]) / (k + 1)
+        else:
             break
-    out[lo : end + 1] = np.array(vals).repeat(counts)
+        k += 1
+    out[lo : hi + 1] = m
 
 
 def _ceiling(c: ConstraintSet) -> float:
@@ -216,17 +179,15 @@ def _place(c: ConstraintSet, theta, s: np.ndarray, v: np.ndarray):
 
     Shapes come as a stack: rows of s and v, one theta per row.  t_support
     is inf in the rows that place nothing: an empty budget, a zero shape or
-    a support beyond binary64.
+    a support beyond binary64.  v is sorted by _pool at each descent, one
+    block each, left to right in each row: a row with one descent, as a
+    move leaves one, gets the full scan's bits, and any other row the
+    isotonic regression to within rounding.
     """
     v = v.astype(float)
-    # one descent mask finds the unsorted rows and where each descends
     rows, at = (~(v[:, 1:] >= v[:, :-1])).nonzero()
-    if rows.size:
-        # the first and the last descent of each unsorted row
-        first, last = np.ones((2, rows.size), dtype=bool)
-        first[1:] = last[:-1] = rows[1:] != rows[:-1]
-        for r, i, j in zip(rows[first].tolist(), at[first].tolist(), at[last].tolist()):
-            _pool(v[r], i, j)
+    for r, i in zip(rows.tolist(), at.tolist()):
+        _pool(v[r], i)
     np.maximum(v, 0.0, out=v)
     v[:, 0] = 0.0
     ds = s[:, 1:] - s[:, :-1]

@@ -515,8 +515,10 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
     quadrature squares v before T multiplies, and beta times a norm that
     underflowed, or T times squares that did, would lose J as well.  There
     J = beta ||u||_2^2 (1 + d) with 0 <= d <= beta v_end^2, and quad_error
-    reports beta v_end^2 plus _TERM_ULPS eps for the norm's rounding.  A J
-    below the normal range keeps the quadrature.
+    reports beta v_end^2 plus _TERM_ULPS eps for the norm's rounding, and a
+    J below the normal range adds _TERM_ULPS least subnormals per knot,
+    over J, for the rounding there.  A J that underflows to 0 keeps the
+    quadrature.
     """
     beta = _positive(beta, "beta")
     tol = _tol(tol)
@@ -540,8 +542,10 @@ def tm_functional(p: RadialProfile, beta: float, tol: float = 1e-10) -> Function
         # h v_end <= sqrt(T) 2^-26.5, and h <= sqrt(max) sqrt(max) is finite
         h = math.sqrt(beta) * math.sqrt(p.t_support)
         j = _l2_row(1.0, s, h * v, ds, h * dv)
-        if j >= _NORMAL_MIN:
-            return FunctionalReport(j, dir_sq, l2_sq, beta * v_end * v_end + _TERM_ULPS * _EPS)
+        if j > 0.0:
+            # below the normal range each operation rounds by up to half a least subnormal
+            sub = _TERM_ULPS * len(s) * math.ulp(0.0) / j if j < _NORMAL_MIN else 0.0
+            return FunctionalReport(j, dir_sq, l2_sq, beta * v_end * v_end + _TERM_ULPS * _EPS + sub)
     value, abs_err = profile_exp_integral(p.t_support, s, v, beta, tol, kind="expm1")
     rel = abs_err / value if value > 0.0 else 0.0
     return FunctionalReport(value, dir_sq, l2_sq, rel)

@@ -4,7 +4,9 @@ Every call site that takes a positive finite number, a subcritical beta
 or a tolerance checks it through profile._positive, profile._subcritical
 or profile._tol.  The table feeds each site the values those rules refuse
 and asserts the exception type and the exact message; the scan asserts
-that no other function raises the three shared messages itself.
+that no other function raises the three shared messages itself.  Two
+more scans keep the package's shape: each module's API is exported once,
+and every private helper is read somewhere in the package.
 """
 
 import ast
@@ -149,3 +151,22 @@ def test_package_exports_each_module_api_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(moser2d, name) is getattr(module, name), name
+
+
+def test_every_private_helper_has_a_caller():
+    # every top-level _-prefixed function or class of the package is read
+    # (by name or as an attribute) somewhere in the package outside its own
+    # body; an import alone or a docstring naming it is no reference
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(moser2d.__file__).parent.glob("*.py"))]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    helpers = {node.name: node for tree in trees for node in tree.body
+               if isinstance(node, kinds) and node.name.startswith("_")}
+    own = {id(n): name for name, node in helpers.items() for n in ast.walk(node)}
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+                name = n.id if isinstance(n, ast.Name) else n.attr
+                if name in helpers and own.get(id(n)) != name:
+                    read.add(name)
+    assert sorted(set(helpers) - read) == []
