@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -18,6 +19,7 @@ import math
 import platform
 import re
 import sys
+import warnings
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -107,6 +109,8 @@ def _kv_rows(payload):
     out = []
 
     def walk(prefix, val):
+        if isinstance(val, RadialProfile):
+            val = val.to_dict()
         if isinstance(val, dict):
             for k in sorted(val):
                 walk("%s.%s" % (prefix, k) if prefix else str(k), val[k])
@@ -125,6 +129,8 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, RadialProfile):
+        return obj.to_dict()
     raise TypeError("not JSON serializable: %r" % type(obj))
 
 
@@ -133,27 +139,30 @@ def _json_text(obj, pad="\n") -> str:
     for byte, without the stdlib's pure-Python indented encoder.
 
     pad is a newline plus the indent of the line that holds obj.  Float
-    lists and float-pair lists (profile knots) are written in one C-level
-    pass; a float's repr holds an "n" only when it is nan or inf.
+    lists and a profile's knots are written in one C-level pass; a float's
+    repr holds an "n" only when it is nan or inf, and a profile's floats
+    are finite.
     """
+    if isinstance(obj, RadialProfile):
+        inner = pad + "  "
+        row = inner + "  "
+        pair = "[" + row + "  %r," + row + "  %r" + row + "]"
+        knots = ("," + row).join([pair] * obj.n_knots) % tuple(
+            np.column_stack((obj.s, obj.v)).ravel().tolist()
+        )
+        return "{%s\"knots\": [%s%s%s],%s\"t_support\": %r%s}" % (
+            inner, row, knots, inner, inner, obj.t_support, pad
+        )
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        kinds = set(map(type, obj))
-        flat = ()
-        if kinds <= {list, tuple} and set(map(len, obj)) == {2}:
-            flat = tuple(itertools.chain.from_iterable(obj))
-        if kinds == {float}:
-            text = ("," + inner).join(map(repr, obj))
-        elif set(map(type, flat)) == {float}:
-            pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
-            text = ("," + inner).join([pair] * len(obj)) % flat
-        else:
+        if set(map(type, obj)) != {float}:
             items = (_json_text(x, inner) for x in obj)
             return "[" + inner + ("," + inner).join(items) + pad + "]"
+        text = ("," + inner).join(map(repr, obj))
         if "n" in text:
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
         return "[" + inner + text + pad + "]"
@@ -271,31 +280,93 @@ def cmd_eval(ns) -> int:
     return 0
 
 
-def cmd_rearrange(ns) -> int:
+def _csv_rows(lines, name):
+    """The value and area columns of CSV lines, read row by row.
+
+    Row 0 is a header when its first cell is not a number; blank rows are
+    skipped and cells past the second are ignored.  A bad row raises
+    ValueError naming it.
+    """
     values = []
     areas = []
-    with open(ns.infile, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
+    for i, row in enumerate(csv.reader(lines)):
+        if not row:
+            continue
+        try:
+            v = float(row[0])
+        except ValueError:
+            if i == 0:
                 continue
+            raise ValueError("bad csv row %d in %s" % (i + 1, name))
+        if len(row) < 2:
+            raise ValueError("row %d needs value,area" % (i + 1,))
+        try:
+            a = float(row[1])
+        except ValueError:
+            raise ValueError("bad csv row %d in %s" % (i + 1, name)) from None
+        values.append(v)
+        areas.append(a)
+    return values, areas
+
+
+def _c_columns(first, lines):
+    """_csv_rows's columns as arrays, parsed by numpy's C reader, which
+    quotes as csv does and, but for _SEPARATORS, reads a number as float
+    does or refuses it.
+
+    first is the first line and lines iterates the others.  Raises
+    ValueError or csv.Error where the reader refuses a row, or where row 0
+    leaves a quoted cell open past the first line.
+    """
+    head = next(csv.reader([first], strict=True), None) or [""]
+    try:
+        float(head[0])
+        lines = itertools.chain([first], lines)
+    except ValueError:
+        pass  # row 0 is a header or blank
+    with warnings.catch_warnings():
+        # no rows warn; the caller refuses them as "no samples"
+        warnings.simplefilter("ignore", UserWarning)
+        cols = np.loadtxt(
+            lines, delimiter=",", comments=None, quotechar='"', usecols=(0, 1), ndmin=2
+        )
+    return cols.T.copy()
+
+
+# numpy's float parser strips these ASCII separators around a number, and
+# float refuses them
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_samples(path):
+    """The value and area columns of the CSV file at path, as _csv_rows
+    reads them once a leading byte-order mark is dropped.
+
+    _c_columns reads a seekable file without a byte of _SEPARATORS; where
+    it raises, and for every other file, _csv_rows reads the rows and
+    picks the message.
+    """
+    with open(path, newline="") as fh:
+        fast = fh.seekable()
+        if fast:
+            blocks = iter(functools.partial(fh.buffer.read, 1 << 20), b"")
+            fast = not any(sep in block for block in blocks for sep in _SEPARATORS)
+            fh.seek(0)
+        first = fh.readline().removeprefix("\ufeff")
+        if fast:
             try:
-                v = float(row[0])
-            except ValueError:
-                if i == 0:
-                    continue
-                raise ValueError("bad csv row %d in %s" % (i + 1, ns.infile))
-            if len(row) < 2:
-                raise ValueError("row %d needs value,area" % (i + 1,))
-            try:
-                a = float(row[1])
-            except ValueError:
-                raise ValueError("bad csv row %d in %s" % (i + 1, ns.infile)) from None
-            values.append(v)
-            areas.append(a)
-    if not values:
+                return _c_columns(first, fh)
+            except (ValueError, csv.Error):
+                fh.seek(0)
+                fh.readline()
+        return _csv_rows(itertools.chain([first], fh), path)
+
+
+def cmd_rearrange(ns) -> int:
+    values, areas = _read_samples(ns.infile)
+    if not len(values):
         raise ValueError("no samples in %s" % ns.infile)
-    prof = decreasing_rearrangement(WeightedSamples(values, areas))
-    _emit(ns, prof.to_dict())
+    _emit(ns, decreasing_rearrangement(WeightedSamples(values, areas)))
     return 0
 
 
@@ -333,7 +404,9 @@ def cmd_equivalence(ns) -> int:
     else:
         trace = adachi_split(p)
     payload = {"direction": ns.direction}
-    payload.update(trace.to_dict())
+    # _emit writes the profiles from their arrays, not from to_dict's lists
+    payload.update(dataclasses.replace(trace, profiles=()).to_dict())
+    payload["profiles"] = list(trace.profiles)
     _emit(ns, payload)
     return 0
 
@@ -351,6 +424,7 @@ def cmd_optimize(ns) -> int:
         seed=ns.seed,
     )
     payload = result.to_dict()
+    payload["best_profile"] = result.best_profile
     # wall time is the one nondeterministic field; it travels with the
     # timestamp so the result file stays byte-identical across reruns
     ns.wall_time = payload.pop("wall_time")

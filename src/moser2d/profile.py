@@ -253,6 +253,8 @@ class RadialProfile:
     def from_dict(cls, d: dict) -> "RadialProfile":
         try:
             t_support, knots = d["t_support"], d["knots"]
+            if not set(map(len, knots)) <= {2}:
+                raise TypeError("a knot is an [s, v] pair")
             # a cell that is a list, an object or a word raises here; true
             # and false read as 1.0 and 0.0, so the cells at 0 and 1 are looked at
             s, v = (np.fromiter((k[j] for k in knots), float, len(knots)) for j in (0, 1))

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -303,9 +304,13 @@ def test_file_errors_exit_2(tmp_path):
         {"t_support": 1.0, "knots": [[0.0, False], [1.0, 0.5]]},
         {"t_support": 1.0, "knots": [[0, 0], [[1], 1]]},
         {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0, [0.5]]]},
+        {"t_support": 1, "knots": [[0, 0, 5], [1, 1, "x"]]},
+        {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0, 0.5, 2.0]]},
+        {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0]]},
+        {"t_support": 1.0, "knots": [[0.0, 0.0], "ab"]},
     ],
     ids=["null_support", "object_support", "object_s", "object_v", "true_support", "true_s", "false_v",
-         "list_s", "list_v"],
+         "list_s", "list_v", "triple_with_word", "triple", "single", "two_letter_word"],
 )
 def test_profile_cell_that_is_not_a_number_exits_2(tmp_path, doc):
     path = tmp_path / "p.json"
@@ -321,6 +326,114 @@ def test_rearrange_bad_cell_names_its_row(tmp_path, capsys, row):
     src.write_text("value,area\n2.0,1.0\n%s\n" % row)
     assert cli.main(["rearrange", "--in", str(src)]) == 2
     assert capsys.readouterr().err == "error: bad csv row 3 in %s\n" % src
+
+
+# (id, file bytes, whether numpy's C reader serves it); the row loop
+# serves the rest, and both must read every file alike
+_CSV_CASES = [
+    ("plain", b"value,area\n2.0,1.0\n1.0,2.0\n0.5,0.5\n", True),
+    ("no_header", b"2.0,1.0\n1.0,2.0\n", True),
+    ("quoted_header", b'"value","area"\n2.0,1.0\n', True),
+    ("quoted_cells", b'value,area\n"2.0","1.0"\n1.0,"2.0"\n', True),
+    ("quoted_first_row", b'"1.0","2.0"\n0.5,1.0\n', True),
+    ("quoted_extra_cell_over_lines", b'value,area\n1,2,"x\n3,4,"\n5,6\n', True),
+    ("quoted_first_row_over_lines", b'1,2,"x\n3,4,"\n5,6\n', False),
+    ("quoted_header_over_lines", b'"val\nue",area\n1,2\n', False),
+    ("cell_after_closing_quote", b'"1"2,3\n', False),
+    ("blank_lines", b"value,area\n\n2.0,1.0\n\n\n1.0,2.0\n", True),
+    ("whitespace_line", b"value,area\n2.0,1.0\n   \n1.0,2.0\n", False),
+    ("whitespace_first_line", b"  \n2.0,1.0\n", True),
+    ("blank_line_before_header", b"\nvalue,area\n2.0,1.0\n", False),
+    ("two_headers", b"value,area\nv,a\n2.0,1.0\n", False),
+    ("underscore_digits", b"value,area\n1_0,2\n", False),
+    ("arabic_indic_digits", "value,area\n١٢,2\n".encode(), False),
+    ("padded_cells", b"value,area\n 2.0 ,\t1.0\n", True),
+    ("cr_line_ends", b"value,area\r2.0,1.0\r1.0,2.0\r", True),
+    ("crlf_line_ends", b"value,area\r\n2.0,1.0\r\n1.0,2.0\r\n", True),
+    ("hash_first_line", b"# cells\n2.0,1.0\n", True),
+    ("hash_in_cell", b"value,area\n2.0,1.0 # note\n", False),
+    ("empty_value", b"value,area\n,1.0\n", False),
+    ("empty_area", b"value,area\n2.0,\n", False),
+    ("extra_columns", b"value,area,label\n2.0,1.0,a\n1.0,2.0,b\n", True),
+    ("ragged_long", b"1,2,3\n4,5\n6,7,8,9\n", True),
+    ("ragged_short", b"value,area\n2.0,1.0\n3\n", False),
+    ("one_cell_first_row", b"1.0\n", False),
+    ("nan", b"value,area\nnan,1.0\n", True),
+    ("infinity", b"value,area\n2.0,Infinity\n", True),
+    ("header_only", b"value,area\n", True),
+    ("empty", b"", True),
+    ("bom_data", b"\xef\xbb\xbf1.0,2.0\n0.5,1.0\n", True),
+    ("bom_header", b"\xef\xbb\xbfvalue,area\n1.0,2.0\n", True),
+    ("file_separator", b"value,area\n\x1c2.0,1.0\n", False),
+    ("nul", b"value,area\n2.0,1.0\x00\n", False),
+    ("invalid_utf8", b"value,area\n2.0,1.0\n\xff,1.0\n", False),
+    ("invalid_utf8_past_first_block", b"value,area\n" + b"2.0,1.0\n" * 2000 + b"\xff,1.0\n", False),
+]
+
+
+@pytest.mark.parametrize("data,fast", [c[1:] for c in _CSV_CASES], ids=[c[0] for c in _CSV_CASES])
+def test_csv_fast_path_reads_as_the_row_loop(tmp_path, monkeypatch, capsys, data, fast):
+    src = tmp_path / "cells.csv"
+    src.write_bytes(data)
+    served = []
+    c_columns = cli._c_columns
+
+    def counted(*args):
+        cols = c_columns(*args)
+        served.append(True)
+        return cols
+
+    def refused(*args):
+        raise ValueError("read row by row")
+
+    runs = []
+    for columns in (counted, refused):
+        monkeypatch.setattr(cli, "_c_columns", columns)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                values, areas = cli._read_samples(str(src))
+                read = (np.asarray(values, float).tobytes(), np.asarray(areas, float).tobytes())
+            except ValueError as exc:
+                read = (type(exc), str(exc))
+            code = cli.main(["rearrange", "--in", str(src)])
+        assert not caught, [str(w.message) for w in caught]
+        runs.append((read, code, capsys.readouterr()))
+    assert served == ([True, True] if fast else [])
+    assert runs[0] == runs[1]
+
+
+def test_rearrange_reads_past_a_byte_order_mark(tmp_path):
+    src = tmp_path / "cells.csv"
+    src.write_bytes(b"\xef\xbb\xbf1.0,2.0\n0.5,1.0\n")
+    out = tmp_path / "profile.json"
+    assert cli.main(["rearrange", "--in", str(src), "--out", str(out)]) == 0
+    assert RadialProfile.from_json(out.read_text()).t_support == 3.0
+
+
+def test_rearrange_reads_a_pipe_row_by_row():
+    res = subprocess.run(
+        [sys.executable, "-m", "moser2d", "rearrange", "--in", "/dev/stdin"],
+        input=b"\xef\xbb\xbfvalue,area\n2.0,1.0\n1.0,2.0\n0.5,0.5\n", capture_output=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert RadialProfile.from_json(res.stdout).t_support == 3.5
+
+
+def test_rearrange_csv_output_is_the_profile_dict(tmp_path):
+    src = tmp_path / "cells.csv"
+    src.write_text("value,area\n2.0,1.0\n1.0,2.0\n0.5,0.5\n")
+    out = tmp_path / "profile.csv"
+    assert cli.main(["rearrange", "--in", str(src), "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "key,value\n"
+        "knots[0][0],0\nknots[0][1],0\nknots[1][0],0\nknots[1][1],0.5\n"
+        "knots[2][0],0.15415067982725836\nknots[2][1],0.5\n"
+        "knots[3][0],0.15415067982725836\nknots[3][1],1\n"
+        "knots[4][0],1.2527629684953681\nknots[4][1],1\n"
+        "knots[5][0],1.2527629684953681\nknots[5][1],2\n"
+        "t_support,3.5\n"
+    )
 
 
 def test_main_reuses_its_parser_without_leaking_flags(tmp_path, capsys):
@@ -344,6 +457,15 @@ _EDGE_FLOATS = [
     9.999999999999998e15, 1e16, 1.0000000000000002e16, 1e-4, 9.999999999999999e-05,
 ]
 _floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_TINY, _HUGE = 5e-324, 1.7976931348623157e308
+_PROFILES = [
+    RadialProfile.zero(),
+    RadialProfile(2.5, [0.0, 0.0, 0.4, 0.4, 1.3], [0.0, 0.5, 0.5, 1.0, 2.0]),  # jumps
+    RadialProfile(1.0, [-0.0, 1.0], [-0.0, 0.25]),
+    RadialProfile(_TINY, [0.0, _TINY, 2 * _TINY], [0.0, _TINY, 1e-310]),
+    RadialProfile(_HUGE, [0.0, 1e300, _HUGE], [1e-300, 1e307, _HUGE]),
+    moser(1000),
+]
 _pairs = st.lists(st.tuples(_floats, _floats).map(list), max_size=6)
 _keys = st.one_of(st.text(max_size=6), st.sampled_from(['a"b', "c\\d", "\u00e9\u2603", "\x00"]))
 _leaves = st.one_of(
@@ -361,6 +483,7 @@ _leaves = st.one_of(
     _pairs,
     _pairs.map(lambda knots: np.array(knots, dtype=float).reshape(-1, 2)),
     _pairs.map(lambda knots: [tuple(k) for k in knots]),
+    st.sampled_from(_PROFILES),
 )
 _payloads = st.recursive(
     _leaves,
@@ -379,6 +502,16 @@ _payloads = st.recursive(
 def test_json_text_matches_stdlib(payload):
     want = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
     assert _json_text(payload) == want
+
+
+@pytest.mark.parametrize("p", _PROFILES, ids=["zero", "jumps", "negative_zero", "tiny", "huge", "moser"])
+def test_json_text_writes_a_profile_as_its_dict(p):
+    want = json.dumps(p.to_dict(), sort_keys=True, indent=2)
+    assert _json_text(p) == want
+    nested = {"profiles": [p, p], "tag": "x"}
+    assert _json_text(nested) == json.dumps(
+        {"profiles": [p.to_dict(), p.to_dict()], "tag": "x"}, sort_keys=True, indent=2
+    )
 
 
 def test_readme_commands_write_the_json_layout(tmp_path):
