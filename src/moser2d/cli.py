@@ -136,15 +136,14 @@ def _json_default(obj):
 
 def _json_text(obj, pad="\n") -> str:
     """json.dumps(obj, sort_keys=True, indent=2, default=_json_default), byte
-    for byte, without the stdlib's pure-Python indented encoder.
+    for byte, with a profile's knots written in one C-level pass.
 
-    pad is a newline plus the indent of the line that holds obj.  Float
-    lists and a profile's knots are written in one C-level pass; a float's
-    repr holds an "n" only when it is nan or inf, and a profile's floats
-    are finite.
+    pad is a newline plus the indent of the line that holds obj.  It walks
+    non-empty lists and tuples, and dicts whose keys are all strings, only
+    to reach profiles; json writes every other value.
     """
+    inner = pad + "  "
     if isinstance(obj, RadialProfile):
-        inner = pad + "  "
         row = inner + "  "
         pair = "[" + row + "  %r," + row + "  %r" + row + "]"
         knots = ("," + row).join([pair] * obj.n_knots) % tuple(
@@ -153,31 +152,15 @@ def _json_text(obj, pad="\n") -> str:
         return "{%s\"knots\": [%s%s%s],%s\"t_support\": %r%s}" % (
             inner, row, knots, inner, inner, obj.t_support, pad
         )
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        if set(map(type, obj)) != {float}:
-            items = (_json_text(x, inner) for x in obj)
-            return "[" + inner + ("," + inner).join(items) + pad + "]"
-        text = ("," + inner).join(map(repr, obj))
-        if "n" in text:
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        return "[" + inner + text + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if set(map(type, obj)) != {str}:
-            # json's own rules convert and sort non-string keys; no JSON
-            # string holds a raw newline, so every newline starts a line
-            text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
-            return text.replace("\n", pad)
-        inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join(_json_text(x, inner) for x in obj) + pad + "]"
+    if isinstance(obj, dict) and set(map(type, obj)) == {str}:
         return "{" + inner + ("," + inner).join(
             json.dumps(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)
         ) + pad + "}"
+    if isinstance(obj, (list, tuple, dict, np.ndarray)):
+        # no JSON string holds a raw newline, so every newline starts a line
+        return json.dumps(obj, sort_keys=True, indent=2, default=_json_default).replace("\n", pad)
     return json.dumps(obj, default=_json_default)
 
 
@@ -284,28 +267,32 @@ def _csv_rows(lines, name):
     """The value and area columns of CSV lines, read row by row.
 
     Row 0 is a header when its first cell is not a number; blank rows are
-    skipped and cells past the second are ignored.  A bad row raises
-    ValueError naming it.
+    skipped and cells past the second are ignored, however long, as numpy's
+    reader ignores them.  A bad row raises ValueError naming it.
     """
     values = []
     areas = []
-    for i, row in enumerate(csv.reader(lines)):
-        if not row:
-            continue
-        try:
-            v = float(row[0])
-        except ValueError:
-            if i == 0:
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        for i, row in enumerate(csv.reader(lines)):
+            if not row:
                 continue
-            raise ValueError("bad csv row %d in %s" % (i + 1, name))
-        if len(row) < 2:
-            raise ValueError("row %d needs value,area" % (i + 1,))
-        try:
-            a = float(row[1])
-        except ValueError:
-            raise ValueError("bad csv row %d in %s" % (i + 1, name)) from None
-        values.append(v)
-        areas.append(a)
+            try:
+                v = float(row[0])
+            except ValueError:
+                if i == 0:
+                    continue
+                raise ValueError("bad csv row %d in %s" % (i + 1, name))
+            if len(row) < 2:
+                raise ValueError("row %d needs value,area" % (i + 1,))
+            try:
+                a = float(row[1])
+            except ValueError:
+                raise ValueError("bad csv row %d in %s" % (i + 1, name)) from None
+            values.append(v)
+            areas.append(a)
+    finally:
+        csv.field_size_limit(limit)
     return values, areas
 
 

@@ -320,14 +320,14 @@ def maximize(
         gap_floor = 1e-9 * (1.0 + float(s[-1]))
         size = _BATCH_MIN
         fails = accepts = 0
-        while evals < stop_evals and evals < budget:
+        while evals < stop_evals:
             perm = rng.permutation(n_moves).tolist()
             pos = 0
-            while pos < n_moves and evals < stop_evals and evals < budget:
+            while pos < n_moves and evals < stop_evals:
                 # the next moves from the incumbent, placed and scored as one
                 # stack; a move spends at most one evaluation, so the batch
                 # fits the budget
-                batch = perm[pos : pos + min(size, stop_evals - evals, budget - evals)]
+                batch = perm[pos : pos + min(size, stop_evals - evals)]
                 cands = [move(k, steps[k], theta, s, v, gap_floor) for k in batch]
                 moved, theta2, s2, v2 = zip(*cands)
                 s2 = np.array(s2)
@@ -360,8 +360,6 @@ def maximize(
     if budget > evals:
         share = max((budget - evals) // (2 * len(states)), n_moves)
         for st in states:
-            if evals >= budget:
-                break
             ascend(st, min(evals + share, budget))
         states.sort(key=lambda st: st[0], reverse=True)
         top = states[: min(3, len(states))]
@@ -369,8 +367,6 @@ def maximize(
             before = evals
             share = max((budget - evals) // len(top), 1)
             for st in top:
-                if evals >= budget:
-                    break
                 ascend(st, min(evals + share, budget))
             if evals == before:
                 break

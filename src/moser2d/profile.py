@@ -40,8 +40,8 @@ _4PI = 4.0 * math.pi
 # e^-s is a normal float for s up to this
 _NORMAL_MIN = sys.float_info.min
 _S_NORMAL = -math.log(_NORMAL_MIN)
-# profiles of at most this many knots are checked, rescaled and measured on
-# Python floats, as quadrature sums them
+# profiles of at most this many knots are checked and measured on Python
+# floats, as quadrature sums them
 _SHORT_KNOTS = _SHORT_PIECES + 1
 
 
@@ -141,10 +141,9 @@ class RadialProfile:
     - a repeated s carries a jump (no duplicate knot), and no three knots
       share one s (no stacked jumps).
 
-    A short profile (at most _SHORT_KNOTS knots) is checked, rescaled and
-    measured on Python floats, bit for bit as on arrays: knots without a
-    jump are checked on floats, scale_amplitude keeps the s of a profile
-    without a jump, and the norms of a plain profile (see _short_plain)
+    A short profile (at most _SHORT_KNOTS knots) is checked and measured
+    on Python floats, bit for bit as on arrays: knots without a jump are
+    checked on floats, and the norms of a plain profile (see _short_plain)
     are summed on floats.  Any other input, and any rejected one, runs the
     array checks, so the accepted set and the messages are the same.
 
@@ -271,7 +270,8 @@ class RadialProfile:
     def from_json(cls, text: str) -> "RadialProfile":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested past the decoder's depth
             raise ValueError("invalid profile json: %s" % exc) from exc
         return cls.from_dict(d)
 
@@ -563,8 +563,8 @@ def _dedupe(s, v):
 def scale_amplitude(p: RadialProfile, a: float) -> RadialProfile:
     """Pointwise scaling u -> a u; satisfies J_beta(a u) = J_{a^2 beta}(u).
 
-    Only a jump, a repeated s, can collapse when v is scaled; a short
-    profile without one, found on Python floats, shares its parent's s.
+    Only a jump, a repeated s, can collapse when v is scaled; every other
+    knot is kept with its s.
     """
     a = float(a)
     if not (a >= 0.0 and math.isfinite(a)):
@@ -577,12 +577,8 @@ def scale_amplitude(p: RadialProfile, a: float) -> RadialProfile:
     # rest: only v_end * a can leave binary64
     if not math.isfinite(float(p.v[-1]) * a):
         raise ValueError("knots must be finite")
-    if p.n_knots <= _SHORT_KNOTS and _short_knots_ok(p.s.tolist(), p.v.tolist()):
-        # checked knots that pass have no jump, the only knots that can collapse
-        s, v = p.s, p.v * a
-    else:
-        s, v = _dedupe(p.s, p.v * a)
-        s.setflags(write=False)
+    s, v = _dedupe(p.s, p.v * a)
+    s.setflags(write=False)
     v.setflags(write=False)
     return RadialProfile._from_checked(p.t_support, s, v)
 

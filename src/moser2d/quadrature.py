@@ -91,7 +91,7 @@ _ORDER_RISE = np.array([_least_rise(j) for j in range(4, _SERIES_TERMS, 2)])
 # 24: they cross near 12 pieces (10).  numpy sums fewer than 8 values left
 # to right, the order the short path keeps, so the constant stays below 8.
 # profile.py shares it: a profile of at most _SHORT_PIECES + 1 knots is also
-# checked, rescaled and measured on floats.
+# checked and measured on floats.
 _SHORT_PIECES = 7
 
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from moser2d import RadialProfile, SequenceSpec, blowup_scan, cap_l2_sq, moser, tm_functional
 from moser2d import cli
@@ -282,8 +282,11 @@ def test_file_errors_exit_2(tmp_path):
     missing = tmp_path / "missing"
     cells = tmp_path / "cells.csv"
     cells.write_text("2.0,1.0\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"t_support": 1.0, "knots": ' + "[" * 200000 + "]" * 200000 + "}")
     for args in (
         ("eval", "--profile", str(missing / "p.json"), "--beta", "2pi"),
+        ("eval", "--profile", str(deep), "--beta", "2pi"),
         ("rearrange", "--in", str(missing / "cells.csv")),
         ("rearrange", "--in", str(cells), "--out", str(missing / "p.json")),
     ):
@@ -368,6 +371,9 @@ _CSV_CASES = [
     ("nul", b"value,area\n2.0,1.0\x00\n", False),
     ("invalid_utf8", b"value,area\n2.0,1.0\n\xff,1.0\n", False),
     ("invalid_utf8_past_first_block", b"value,area\n" + b"2.0,1.0\n" * 2000 + b"\xff,1.0\n", False),
+    # cells longer than csv's default field limit of 131072 characters
+    ("long_value_cell", b'value,area\n"' + b"x" * 200000 + b'",1\n', False),
+    ("long_extra_cell", b"value,area,label\n1.0,2.0," + b"y" * 200000 + b"\n", True),
 ]
 
 
@@ -401,6 +407,7 @@ def test_csv_fast_path_reads_as_the_row_loop(tmp_path, monkeypatch, capsys, data
         runs.append((read, code, capsys.readouterr()))
     assert served == ([True, True] if fast else [])
     assert runs[0] == runs[1]
+    assert csv.field_size_limit() == 131072
 
 
 def test_rearrange_reads_past_a_byte_order_mark(tmp_path):
@@ -499,6 +506,13 @@ _payloads = st.recursive(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_payloads)
+@example(np.array([[0.0, 1.5], [2.0, math.nan]]))
+@example([])
+@example(())
+@example({})
+@example({1: moser(1000)})
+@example([math.nan, math.inf, -math.inf, -0.0])
+@example({"p": (moser(1000),)})
 def test_json_text_matches_stdlib(payload):
     want = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
     assert _json_text(payload) == want

@@ -291,8 +291,8 @@ def test_short_norms_are_bit_identical_to_array_norms():
 
 @pytest.mark.parametrize("n, short", [(_SHORT_KNOTS, True), (_SHORT_KNOTS + 1, False)])
 def test_short_paths_end_at_one_knot_count(n, short, monkeypatch):
-    # construction, rescale, norms and J all take the float path up to
-    # _SHORT_KNOTS knots, and all take the array path past it
+    # construction, norms and J all take the float path up to _SHORT_KNOTS
+    # knots, and all take the array path past it
     calls = dict.fromkeys(["_short_knots_ok", "_check_knots", "_dedupe", "_short_dirichlet_sq",
                            "_dirichlet_sq", "_short_l2_sq", "_l2_sq", "_short_pieces", "_array_pieces"], 0)
 
@@ -311,13 +311,11 @@ def test_short_paths_end_at_one_knot_count(n, short, monkeypatch):
     u = scale_amplitude(p, 0.5)
     tm_functional(u, 4.0 * PI)
     float_path = ["_short_knots_ok", "_short_dirichlet_sq", "_short_l2_sq", "_short_pieces"]
-    array_path = ["_check_knots", "_dedupe", "_dirichlet_sq", "_l2_sq", "_array_pieces"]
+    array_path = ["_check_knots", "_dirichlet_sq", "_l2_sq", "_array_pieces"]
     want = dict.fromkeys(calls, 0)
     want.update(dict.fromkeys(float_path if short else array_path, 1))
-    if short:
-        # construction and rescale each check the knots on floats
-        want["_short_knots_ok"] = 2
-        assert u.s is p.s
+    # every rescale drops collapsed jumps on arrays
+    want["_dedupe"] = 1
     assert calls == want
 
 
