@@ -104,7 +104,9 @@ def adachi_split(p: RadialProfile) -> EquivalenceTrace:
         }
         return EquivalenceTrace(theta, l2_sq, "subcritical", (out,), 2.0, "C_subcritical", checks)
     out = scale_amplitude(p, 1.0 / math.sqrt(theta))
-    coeff = (l2_sq / theta) / (1.0 - theta)
+    # a profile on the Sobolev sphere up to _FEAS_TOL (1 - theta may round to
+    # 0 or below) takes the boundary value l2_sq = 1 - theta
+    coeff = 1.0 / theta if l2_sq >= 1.0 - theta else (l2_sq / theta) / (1.0 - theta)
     out_dir = dirichlet_norm_sq(out)
     checks = {"dirichlet_sq": out_dir, "residual": abs(out_dir - 1.0)}
     return EquivalenceTrace(theta, l2_sq, "gradient_normalized", (out,), coeff, "d_4pi", checks)

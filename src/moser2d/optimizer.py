@@ -235,12 +235,16 @@ def maximize(
     An iterate is a shape on n_knots knots plus a Dirichlet share theta,
     evaluated where _place puts it, on the budget boundary.  Moves scale
     theta up to the ceiling, stretch s, and move single knot values and
-    positions; a step doubles on success and halves otherwise.  The starts
-    of family_starts share half the budget, the best three the rest, and
-    exactly `budget` evaluations are spent.  The incumbent's amplitude is
-    shrunk by a few ulps where rounding left it outside the bound, so the
-    returned profile has residual <= 0, and the reported best value is a
-    fresh evaluation of it at tolerance 1e-8; the search runs at 1e-6.
+    positions; a step doubles on success and halves otherwise.  The first
+    g = min(20, budget) starts of family_starts are scored once; each then
+    ascends in turn for max((budget - g) // (2 g), 4 n_knots) evaluations
+    until the budget runs out, the best three share what is left, and
+    exactly `budget` evaluations are spent.  So at budget 500 and 32 knots
+    four starts ascend and the best three get nothing.  The incumbent's
+    amplitude is shrunk by a few ulps where rounding left it outside the
+    bound, so the returned profile has residual <= 0, and the reported best
+    value is a fresh evaluation of it at tolerance 1e-8; the search runs at
+    1e-6.
     For the reduced constraint the critical exponent 4 pi/(1-delta)^2 is
     rejected, where the supremum is infinite.
 

@@ -20,12 +20,14 @@ J.  The error bound adds up the rounding of every piece and the series
 truncation.  Results beyond binary64 range raise ValueOverflowError naming
 the knot.
 
-Profiles of up to _SHORT_PIECES pieces, such as the one- and two-piece
-family members, are summed piece by piece on Python floats, longer ones on
-arrays; both paths give bit-identical results.  The array path also sums a
-stack of profiles at once, giving each row the bits it would get alone; the
-series sums the routed pieces of all rows that share a truncation order and
-a routed-piece count in one pass.
+Profiles of up to _SHORT_PIECES pieces whose pieces are jumps or closed-form
+rises, such as the one- and two-piece family members, are summed piece by
+piece on Python floats: the rising pieces and the plateau.  Every other
+profile, including a short one with a constant piece or a piece routed to
+the series, is summed on arrays; both paths give bit-identical results.
+The array path also sums a stack of profiles at once, giving each row the
+bits it would get alone; the series sums the routed pieces of all rows that
+share a truncation order and a routed-piece count in one pass.
 
 Both paths can compute values only (bounds=False): no error term is formed
 or summed, and routing still weighs each piece's rounding against tol, so
@@ -86,10 +88,12 @@ def _least_rise(order):
 # of these thresholds at or below its largest rise), all increasing
 _ORDER_RISE = np.array([_least_rise(j) for j in range(4, _SERIES_TERMS, 2)])
 # profiles of at most this many pieces take _short_pieces, longer ones
-# _array_pieces.  On a 2-CPU Xeon the short path costs about 2.5 us a piece
-# (4 for the remainder), the array path about 33 us (40) at any count up to
-# 24: they cross near 12 pieces (10).  numpy sums fewer than 8 values left
-# to right, the order the short path keeps, so the constant stays below 8.
+# _array_pieces, and so does a short profile for which _short_pieces
+# returns None (a constant piece or a routed one).  On a 2-CPU Xeon the
+# short path costs about 2.5 us a piece (4 for the remainder), the array
+# path about 33 us (40) at any count up to 24: they cross near 12 pieces
+# (10).  numpy sums fewer than 8 values left to right, the order the short
+# path keeps, so the constant stays below 8.
 # profile.py shares it: a profile of at most _SHORT_PIECES + 1 knots is also
 # checked and measured on floats.
 _SHORT_PIECES = 7
@@ -132,21 +136,21 @@ def _g_scaled_float(w, remainder):
     return _gammainc_float(2.0, w) if remainder else float(-np.expm1(-w))
 
 
-def _series(rw0, h, length, remainder, row=None):
+def _series(rw0, h, length, remainder, row):
     """(sum, truncation bound) of routed pieces in units of T e^-s e^w0.
 
     With x = y/L, e^(w - w0) = exp(a x + c x^2), a = 2 sqrt(w0) h, c = h^2, and
     the piece is sum_j e_j M_j/L^j over its Taylor coefficients e_j and the
     moments M_j.  The first e_j absorb the -1 (and -w) of g: no term is negative.
 
-    row numbers each piece's profile, nondecreasing (None: one profile).
-    Each profile is summed to the order its own largest rise asks for, and
-    the profiles of one order and piece count share one pass, which gives
-    every profile the bits of a call on its pieces alone.
+    row numbers each piece's profile, nondecreasing.  Each profile is summed
+    to the order its own largest rise asks for, and the profiles of one
+    order and piece count share one pass, which gives every profile the
+    bits of a call on its pieces alone.
     """
     w0, a, c = rw0 * rw0, 2.0 * rw0 * h, h * h
     rise = a + c
-    if row is None or row[0] == row[-1]:
+    if row[0] == row[-1]:
         order = np.searchsorted(_ORDER_RISE, rise.max(), side="right")
         return _series_pass(w0, a, c, length, remainder, 4 + 2 * int(order), rise.size)
     start = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
@@ -252,12 +256,12 @@ def profile_exp_integral(t_support, s, v, beta, tol, kind="expm1"):
 def _exp_integral(t_support, s, v, beta, tol, remainder, bounds=True):
     """profile_exp_integral of g chosen by remainder; without bounds the
     error bound is None and no error term is formed."""
-    # the float lists of a short profile, as tm_functional holds them, go to
-    # the short path as they are
-    if not (type(s) is list and type(v) is list and len(s) <= _SHORT_PIECES + 1):
+    log_t = math.log(t_support)
+    out = _short_pieces(log_t, s, v, beta, tol, remainder, bounds) if len(s) <= _SHORT_PIECES + 1 else None
+    if out is None:
         s, v = np.asarray(s, dtype=float), np.asarray(v, dtype=float)
-    pieces = _short_pieces if len(s) <= _SHORT_PIECES + 1 else _array_pieces
-    total, err = pieces(math.log(t_support), s, v, beta, tol, remainder, bounds)
+        out = _array_pieces(log_t, s, v, beta, tol, remainder, bounds)
+    total, err = out
     if math.isinf(total):
         raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
     return total, err
@@ -420,53 +424,33 @@ def _log(x):
 
 
 def _short_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
-    """_array_pieces one piece at a time on Python floats, bit for bit.
+    """_array_pieces one piece at a time on Python floats, bit for bit, or
+    None where the array path must sum: at a constant piece, or at a rising
+    piece that routing sends to the series.
 
     Every operation is the array path's, in its order, including the
     transcendentals: numpy's scalar ufuncs, since math.exp and math.log
     round differently.  Sums run left to right, as numpy's do below 8
-    terms, and the routed pieces go to _series as one profile, as the
-    array path sends them: the truncation order follows their largest rise.
-    s, v: float lists, or arrays that it converts to them.  Without bounds
-    the error bound is None and no error term is formed.
+    terms.  s, v: float lists, or arrays that it converts to them.
+    Without bounds the error bound is None and no error term is formed.
     """
-    if type(s) is not list:
-        s, v = s.tolist(), v.tolist()
-    const, lin = [], []
+    if type(s) is not list or type(v) is not list:
+        s, v = np.asarray(s, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
+    lin = []
     for i in range(len(s) - 1):
         ds, dv = s[i + 1] - s[i], v[i + 1] - v[i]
         if ds > 0.0 and dv == 0.0 and v[i] > 0.0:
-            const.append(i)
-        elif ds > 0.0 and dv > 0.0 and beta * (dv / ds) < math.inf:
+            return None
+        if ds > 0.0 and dv > 0.0 and beta * (dv / ds) < math.inf:
             lin.append(i)
 
-    ws, lgs, lps = [], [], []
-    for i in const:
-        w = beta * (v[i] * v[i])
-        lg = _log(_g_scaled_float(w, remainder) * -np.expm1(-(s[i + 1] - s[i])))
-        ws.append(w)
-        lgs.append(lg)
-        lps.append(log_t - s[i] + w + lg)
-    if any(lp >= _LOG_MAX for lp in lps):
-        j = const[int(np.argmax(lps))]
-        raise ValueOverflowError(j, s[j], v[j])
-    total = err = 0.0
-    for i, w, lg, lp in zip(const, ws, lgs, lps):
-        piece = float(np.exp(lp))
-        total += piece
-        if bounds:
-            term = _EPS * piece * (_TERM_ULPS + abs(log_t - s[i]) + w - lg)
-            err += term if term == term else 0.0
-    piece, piece_err = _plateau(log_t, s[-1], v[-1], beta, remainder)
-    if piece == math.inf:
+    total, err = _plateau(log_t, s[-1], v[-1], beta, remainder)
+    if total == math.inf:
         raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
-    total += piece
-    err += piece_err
-
     if not lin:
         return total, err if bounds else None
     rb = math.sqrt(beta)
-    lps, les, routed, batch = [], [], [], []
+    lps, les = [], []
     for i in lin:
         log_w, v0, length = log_t - s[i], v[i], s[i + 1] - s[i]
         m = (v[i + 1] - v0) / length
@@ -486,23 +470,14 @@ def _short_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
         ts = sub * rbm * float(np.exp(-(w0 + top)))
         net = t2 - t1 - ts
         mag = abs(t1) + abs(t2) + ts
+        if not _TERM_ULPS * _EPS * mag <= tol * net and h * (2.0 * rw0 + h) <= _SERIES_MAX_RISE:
+            return None
         log_rbm = float(np.log(rbm))
         scale = log_w + w0 + top - log_rbm
         lps.append(scale + _log(max(net, 0.0)))
         if bounds:
             size = _TERM_ULPS + abs(log_w) + w0 + top + abs(log_rbm)
             les.append(scale + _log(_EPS * mag * size))
-        if not _TERM_ULPS * _EPS * mag <= tol * net and h * (2.0 * rw0 + h) <= _SERIES_MAX_RISE:
-            routed.append((len(lps) - 1, log_w, w0))
-            batch.append((rw0, h, length))
-    if routed:
-        with np.errstate(divide="ignore"):
-            total_r, trunc = _series(*np.array(batch).T, remainder)
-        for (k, log_w, w0), sum_k, trunc_k in zip(routed, total_r.tolist(), trunc.tolist()):
-            scale = log_w + w0
-            lps[k] = scale + _log(sum_k)
-            if bounds:
-                les[k] = scale + _log(_EPS * sum_k * (_TERM_ULPS + abs(log_w) + w0) + trunc_k)
     if any(lp >= _LOG_MAX for lp in lps):
         j = lin[int(np.argmax(lps))] + 1
         raise ValueOverflowError(j, s[j], v[j])

@@ -8,6 +8,7 @@ import pytest
 from moser2d import (
     RadialProfile,
     adachi_split,
+    alvino_extremal,
     cap,
     cap_l2_sq,
     dirichlet_norm_sq,
@@ -19,6 +20,7 @@ from moser2d import (
     tau_rescale,
     tm_functional,
 )
+from moser2d import cli
 
 from conftest import random_smooth_profile, rel_err
 
@@ -108,7 +110,7 @@ def test_adachi_split_coefficient_example():
     assert trace.coefficient == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
-def test_adachi_split_coefficient_never_exceeds_two():
+def test_adachi_split_coefficient_never_exceeds_two(tmp_path):
     rng = np.random.default_rng(27)
     count = 0
     while count < 60:
@@ -120,6 +122,15 @@ def test_adachi_split_coefficient_never_exceeds_two():
         count += 1
         trace = adachi_split(p)
         assert trace.coefficient <= 2.0 + 1e-12
+    # unit Dirichlet energy on a tiny support: feasible only up to the
+    # tolerance, with theta = 1, 1 - 2^-53 and 1 + 2^-52 for the caps
+    for family, args, p in [("cap", ["--k", "2", "--R", "1e-7"], cap(2.0, 1e-7)),
+                            ("cap", ["--k", "1", "--R", "1e-7"], cap(1.0, 1e-7)),
+                            ("cap", ["--k", "1.0977", "--R", "1e-7"], cap(1.0977, 1e-7)),
+                            ("alvino", ["--T", "1e-12", "--delta", repr(math.e)], alvino_extremal(1e-12, math.e))]:
+        assert 0.0 < adachi_split(p).coefficient <= 2.0, args
+        argv = ["equivalence", "--direction", "ruf-to-at", "--family", family, *args]
+        assert cli.main(argv + ["--out", str(tmp_path / "split.json")]) == 0, args
 
 
 def test_adachi_split_validation():

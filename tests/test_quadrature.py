@@ -1,10 +1,13 @@
 """The two summation paths of profile_exp_integral agree bit for bit.
 
 profile_exp_integral sums profiles of up to _SHORT_PIECES pieces on Python
-floats (_short_pieces) and longer ones on arrays (_array_pieces).  Both are
-called here directly on the same short profiles, and must return the same
-(value, abs_err) or raise the same ValueOverflowError.  _array_pieces is
-one row of _stack_pieces, which must give every row of a stack the same.
+floats (_short_pieces) and longer ones on arrays (_array_pieces).  The
+float path sums rising pieces and the plateau only: at a constant piece or
+a piece routed to the series it returns None, and the array path sums the
+profile.  Both are called here directly on the same short profiles; where
+the float path sums, both must return the same (value, abs_err) or raise
+the same ValueOverflowError.  _array_pieces is one row of _stack_pieces,
+which must give every row of a stack the same.
 """
 
 import math
@@ -13,7 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from moser2d import RadialProfile, ValueOverflowError, remainder_functional, tm_functional
+from moser2d import (RadialProfile, ValueOverflowError, alvino_extremal, cap, counterexample, modified_moser,
+                     moser, remainder_functional, tm_functional)
 from moser2d import quadrature as q
 
 from conftest import brute_j, rel_err
@@ -39,19 +43,23 @@ def _short_profile(rng):
     return RadialProfile(math.exp(rng.uniform(-4.0, 4.0)), s, v)
 
 
-def _outcome(pieces, p, beta, tol, remainder):
+def _overflow_or(f, *args):
     try:
-        return pieces(math.log(p.t_support), p.s, p.v, beta, tol, remainder)
+        return f(*args)
     except ValueOverflowError as err:
         return "overflow", err.knot_index, err.knot_s, err.knot_v
 
 
-# one knot, two pieces whose w rises by 1e-11 and 0.8, routed at tol 1e-14 (the
-# batch's truncation order follows the larger), a constant piece that
-# overflows, a plateau that overflows, a nearly flat rise of phi = w - s
-# that overflows while the plateau fits, a constant piece and a plateau
-# that each fit but whose sum overflows, and two pieces so steep that
-# beta m overflows (m itself, and only beta m), skipped like jumps
+def _outcome(pieces, p, beta, tol, remainder):
+    return _overflow_or(pieces, math.log(p.t_support), p.s, p.v, beta, tol, remainder)
+
+
+# one knot, two pieces whose w rises by 1e-11 and 0.8, routed at tol 1e-14
+# (the float path hands them to the array path), a constant piece that
+# overflows (handed over too), a plateau that overflows, a nearly flat rise
+# of phi = w - s that overflows while the plateau fits, a constant piece and
+# a plateau that each fit but whose sum overflows, and two pieces so steep
+# that beta m overflows (m itself, and only beta m), skipped like jumps
 _CASES = [
     (RadialProfile(1.0, [0.0], [0.3]), 4.0 * PI),
     (RadialProfile(2.0, [0.0, 1e-3, 1.2], [0.0, 1e-6, 0.25]), 4.0 * PI),
@@ -66,23 +74,52 @@ _CASES = [
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
 @pytest.mark.parametrize("remainder", [False, True], ids=["expm1", "remainder"])
-def test_short_path_is_bit_identical_to_array_path(tol, remainder, monkeypatch):
-    batches = []
-    series = q._series
-
-    def recording_series(rw0, h, length, remainder, row=None):
-        batches.append(h * (2.0 * rw0 + h))
-        return series(rw0, h, length, remainder, row)
-
-    monkeypatch.setattr(q, "_series", recording_series)
+def test_short_path_is_bit_identical_to_array_path(tol, remainder):
     rng = np.random.default_rng(20)
     cases = _CASES + [(_short_profile(rng), float(rng.choice([2.0 * PI, 4.0 * PI, rng.uniform(0.5, 300.0)])))
                       for _ in range(300)]
+    summed = 0
     for p, beta in cases:
         short = _outcome(q._short_pieces, p, beta, tol, remainder)
-        assert short == _outcome(q._array_pieces, p, beta, tol, remainder), (p.s, p.v, beta)
-    # the short path batched two or more routed pieces of different rise
-    assert any(len(rise) >= 2 and rise.max() > 1e3 * rise.min() for rise in batches)
+        if short is not None:
+            summed += 1
+            assert short == _outcome(q._array_pieces, p, beta, tol, remainder), (p.s, p.v, beta)
+    # the float path summed a fifth of the profiles or more (62 of 308 at tol 1e-14)
+    assert summed >= 50
+
+
+@pytest.mark.parametrize("remainder", [False, True], ids=["expm1", "remainder"])
+def test_float_path_hands_constant_and_routed_pieces_to_the_array_path(remainder):
+    # a short profile with a constant piece (finite, and one that overflows)
+    # or with a piece routed to the series gets None from the float path,
+    # and the public functionals then give the array path's bits or its
+    # ValueOverflowError
+    handed = [(RadialProfile(2.0, [0.0, 0.5, 1.0], [0.0, 0.2, 0.2]), 4.0 * PI, 1e-10),
+              (_CASES[2][0], _CASES[2][1], 1e-10), (_CASES[1][0], _CASES[1][1], 1e-14)]
+    kind = "remainder" if remainder else "expm1"
+    for p, beta, tol in handed:
+        assert _outcome(q._short_pieces, p, beta, tol, remainder) is None, (p.s, p.v)
+        want = _outcome(q._array_pieces, p, beta, tol, remainder)
+        assert _overflow_or(q.profile_exp_integral, p.t_support, p.s, p.v, beta, tol, kind) == want, (p.s, p.v)
+        if want[0] == "overflow":
+            functional = remainder_functional if remainder else tm_functional
+            assert _overflow_or(functional, p, beta, tol) == want, (p.s, p.v)
+        elif remainder:
+            assert remainder_functional(p, beta, tol) == want[0], (p.s, p.v)
+        else:
+            rep = tm_functional(p, beta, tol)
+            assert (rep.j_beta, rep.quad_error) == (want[0], want[1] / want[0]), (p.s, p.v)
+    # the float path keeps the traffic that pays for it: every family
+    # member of the evaluate benchmark (moser, counterexample and
+    # modified_moser at n = 10..10^6, three caps, two Alvino members), at
+    # each of its exponents, is summed there
+    family = [f(n) for f in (moser, counterexample, modified_moser) for n in (10**e for e in range(1, 7))]
+    family += [cap(k, r) for k, r in ((1.0, 0.5), (4.0, 2.0), (16.0, 1.0))]
+    family += [alvino_extremal(t, d) for t, d in ((PI, math.e), (10.0, math.exp(4.0)))]
+    for p in family:
+        for beta in (2.0 * PI, 4.0 * PI, 19.0):
+            out = q._short_pieces(math.log(p.t_support), p.s, p.v, beta, 1e-10, remainder, not remainder)
+            assert out is not None, (p.t_support, p.s, p.v, beta)
 
 
 @pytest.mark.parametrize("remainder", [False, True], ids=["expm1", "remainder"])
@@ -133,11 +170,11 @@ def test_stack_rows_equal_one_row_calls(remainder, monkeypatch):
     rises, served = [], []
     series = q._series
 
-    def recording_series(rw0, h, length, remainder, row=None):
+    def recording_series(rw0, h, length, remainder, row):
         # the largest rise of each profile the call serves
-        rise, profile = h * (2.0 * rw0 + h), np.zeros(h.size, int) if row is None else row
-        rises.extend(float(rise[profile == r].max()) for r in np.unique(profile))
-        served.append(np.unique(profile).size)
+        rise = h * (2.0 * rw0 + h)
+        rises.extend(float(rise[row == r].max()) for r in np.unique(row))
+        served.append(np.unique(row).size)
         return series(rw0, h, length, remainder, row)
 
     monkeypatch.setattr(q, "_series", recording_series)
@@ -180,7 +217,7 @@ def test_stack_values_equal_profile_exp_integral(monkeypatch):
     routed = []
     series = q._series
 
-    def recording_series(rw0, h, length, remainder, row=None):
+    def recording_series(rw0, h, length, remainder, row):
         routed.append(h.size)
         return series(rw0, h, length, remainder, row)
 
@@ -241,13 +278,13 @@ def test_series_groups_equal_one_row_calls(remainder, monkeypatch):
     groups = []
     series = q._series
 
-    def checking_series(rw0, h, length, remainder, row=None):
+    def checking_series(rw0, h, length, remainder, row):
         out = series(rw0, h, length, remainder, row)
-        if row is not None and row[0] != row[-1]:
+        if row[0] != row[-1]:
             groups.append([])
             for r in np.unique(row):
                 at = row == r
-                alone = series(rw0[at], h[at], length[at], remainder)
+                alone = series(rw0[at], h[at], length[at], remainder, row[at])
                 assert out[0][at].tobytes() == alone[0].tobytes() and out[1][at].tobytes() == alone[1].tobytes()
                 order = np.searchsorted(q._ORDER_RISE, np.max(2.0 * rw0[at] * h[at] + h[at] ** 2), side="right")
                 groups[-1].append((int(order), int(at.sum())))
@@ -413,7 +450,7 @@ def test_remainder_functional_equals_profile_exp_integral(monkeypatch):
     routed = []
     series = q._series
 
-    def recording_series(rw0, h, length, remainder, row=None):
+    def recording_series(rw0, h, length, remainder, row):
         routed.append(h.size)
         return series(rw0, h, length, remainder, row)
 
