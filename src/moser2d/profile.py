@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _EPS, _SHORT_PIECES, _TERM_ULPS, _gammainc_float, profile_exp_integral, segment_moments
+from . import quadrature
+from .quadrature import _EPS, _SHORT_PIECES, _TERM_ULPS, profile_exp_integral, segment_moments
 
 __all__ = [
     "RadialProfile",
@@ -48,9 +49,26 @@ _SHORT_KNOTS = _SHORT_PIECES + 1
 # every module checks its arguments through these: one rule, one message
 
 
+def _float(x) -> float:
+    """float(x), but an int beyond binary64 range reads as +-inf, as the
+    literal 1e400 does, so that it gets the message that inf gets."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _floats(x) -> np.ndarray:
+    """np.array(x, dtype=float), with _float's reading of too large an int."""
+    try:
+        return np.array(x, dtype=float)
+    except OverflowError:
+        return np.frompyfunc(_float, 1, 1)(np.array(x, dtype=object)).astype(float)
+
+
 def _positive(x, name: str) -> float:
     """x as a float; ValueError unless it is positive and finite."""
-    x = float(x)
+    x = _float(x)
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError("%s must be positive and finite" % name)
     return x
@@ -58,7 +76,7 @@ def _positive(x, name: str) -> float:
 
 def _subcritical(beta) -> float:
     """b = beta/(4 pi); ValueError unless 0 < b < 1, the subcritical range."""
-    b = float(beta) / _4PI
+    b = _float(beta) / _4PI
     if not (0.0 < b < 1.0):
         raise ValueError("beta must lie in (0, 4 pi)")
     return b
@@ -66,7 +84,7 @@ def _subcritical(beta) -> float:
 
 def _tol(tol) -> float:
     """tol as a float; ValueError unless it lies in (0, 1e-6]."""
-    tol = float(tol)
+    tol = _float(tol)
     if not (0.0 < tol <= 1e-6):
         raise ValueError("tol must lie in (0, 1e-6]")
     return tol
@@ -156,8 +174,8 @@ class RadialProfile:
 
     def __init__(self, t_support, s, v):
         t = _positive(t_support, "t_support")
-        s = np.array(s, dtype=float)
-        v = np.array(v, dtype=float)
+        s = _floats(s)
+        v = _floats(v)
         if s.ndim != 1 or s.shape != v.shape or s.size == 0:
             raise ValueError("knot arrays must be equal-length 1-d and nonempty")
         if not (s.size <= _SHORT_KNOTS and _short_knots_ok(s.tolist(), v.tolist())):
@@ -256,12 +274,15 @@ class RadialProfile:
                 raise TypeError("a knot is an [s, v] pair")
             # a cell that is a list, an object or a word raises here; true
             # and false read as 1.0 and 0.0, so the cells at 0 and 1 are looked at
-            s, v = (np.fromiter((k[j] for k in knots), float, len(knots)) for j in (0, 1))
+            try:
+                s, v = (np.fromiter((k[j] for k in knots), float, len(knots)) for j in (0, 1))
+            except OverflowError:
+                s, v = (np.fromiter((_float(k[j]) for k in knots), float, len(knots)) for j in (0, 1))
             cells = [t_support] + [knots[i][j] for j, x in enumerate((s, v))
                                    for i in np.flatnonzero((x == 0.0) | (x == 1.0)).tolist()]
             if any(type(c) is bool for c in cells):
                 raise TypeError("true or false is no number")
-            t_support = float(t_support)
+            t_support = _float(t_support)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValueError("profile needs t_support and knots [[s, v], ...]") from exc
         return cls(t_support, s, v)
@@ -472,9 +493,11 @@ def _short_l2_sq(t, s, v, ds, dv):
     """_l2_sq of a _short_plain profile on floats, bit for bit: the same
     operations in the same order, numpy's and scipy's ufuncs for every
     transcendental, and the sum left to right from 0."""
+    # looked up at each call: the name is rebound on the first special-function call
+    gammainc = quadrature._gammainc_float
     acc = 0.0
     for a, p0, d, e in zip(s, v, ds, dv):
-        p1, p2, p3 = float(-np.expm1(-d)), _gammainc_float(2.0, d), 2 * _gammainc_float(3.0, d)
+        p1, p2, p3 = float(-np.expm1(-d)), gammainc(2.0, d), 2 * gammainc(3.0, d)
         m = e / d
         acc += float(np.exp(-a)) * (p0 * p0 * p1 + 2.0 * p0 * m * p2 + m * m * p3)
     return t * (acc + _plateau_sq(s[-1], v[-1]))

@@ -35,6 +35,12 @@ every value keeps its bits.  Two callers read no error bound and take it:
 remainder_functional, on either path, and _stack_values, the stacked path
 that maximize scores its moves with.  profile_exp_integral, and with it
 tm_functional, forms the bound.
+
+scipy.special, the source of dawsn and gammainc, is imported on the first
+special-function call, not with the package: the first call of dawsn,
+gammainc or _gammainc_float rebinds all three names to scipy's functions,
+so every later call is scipy's own.  Code elsewhere reads them as
+quadrature.gammainc, never as a name imported once.
 """
 
 from __future__ import annotations
@@ -43,11 +49,32 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import dawsn, gammainc
-# P(a, x) of one Python float, with the ufunc's bits at a third of its call cost
-from scipy.special.cython_special import gammainc as _gammainc_float
 
 __all__ = ["ValueOverflowError", "profile_exp_integral", "segment_moments"]
+
+
+def _bind_special():
+    """Import scipy.special and bind dawsn, gammainc and _gammainc_float to
+    its own functions, so that every later call pays nothing extra."""
+    global dawsn, gammainc, _gammainc_float
+    from scipy.special import dawsn, gammainc
+    # P(a, x) of one Python float, with the ufunc's bits at a third of its call cost
+    from scipy.special.cython_special import gammainc as _gammainc_float
+
+
+def _first_call(name):
+    """A stand-in for the special function name until _bind_special runs."""
+
+    def bind_and_call(*args):
+        _bind_special()
+        return globals()[name](*args)
+
+    return bind_and_call
+
+
+# importing scipy.special takes about 150 ms, more than the rest of start-up,
+# and rearrange and the Alvino check never need it
+dawsn, gammainc, _gammainc_float = map(_first_call, ("dawsn", "gammainc", "_gammainc_float"))
 
 _LOG_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon

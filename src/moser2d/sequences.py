@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammainc
 
+from . import quadrature
 from .profile import RadialProfile, _check_knots, _positive, l2_norm_sq
 
 __all__ = [
@@ -62,7 +62,7 @@ def _cap(t_support: float, k: float, a: float = 1.0) -> RadialProfile:
 
 def _cap_l2_sq(t_support: float, k: float) -> float:
     """||_cap(t_support, k)||_2^2 = T P(2, k)/(2 pi k); P does not cancel as k -> 0."""
-    return t_support * float(gammainc(2.0, k)) / (_2PI * k)
+    return t_support * float(quadrature.gammainc(2.0, k)) / (_2PI * k)
 
 
 def _moser_args(n) -> tuple:

@@ -99,6 +99,18 @@ def test_every_site_refuses_with_the_shared_message(site, call, x, msg):
     assert str(exc.value) == msg
 
 
+# float() of an int beyond binary64 range raises OverflowError; such an int
+# is refused as inf is, or as -1.0 is when it is negative
+_HUGE_CASES = [c for c in _CASES if c[2] in (math.inf, -1.0)]
+
+
+@pytest.mark.parametrize(
+    "site, call, x, msg", _HUGE_CASES, ids=["%s-%s10**400" % (c[0], "-" * (c[2] < 0)) for c in _HUGE_CASES]
+)
+def test_an_int_beyond_binary64_range_is_refused_as_inf(site, call, x, msg):
+    test_every_site_refuses_with_the_shared_message(site, call, 10**400 if x > 0 else -(10**400), msg)
+
+
 @pytest.mark.parametrize("site, call", _TOL, ids=[c[0] for c in _TOL])
 def test_tol_is_converted_as_a_float(site, call):
     assert call("1e-8") == call(1e-8)

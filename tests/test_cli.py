@@ -30,7 +30,7 @@ def run_cli(*args):
 
 def test_import_loads_no_scipy_integrate_or_optimize():
     # both cost tens of MB and start-up time on every launch; the library
-    # needs only scipy.special
+    # needs only scipy.special, which it imports on its first special-function call
     code = (
         "import sys, moser2d, moser2d.cli\n"
         "print(sorted(m for m in sys.modules\n"
@@ -39,6 +39,74 @@ def test_import_loads_no_scipy_integrate_or_optimize():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_commands_without_a_special_function_skip_scipy_special(tmp_path):
+    # a fresh interpreter: conftest has imported scipy.special into this one
+    code = """
+import sys
+from moser2d import cli, quadrature
+names = ("dawsn", "gammainc", "_gammainc_float")
+stubs = [getattr(quadrature, n) for n in names]
+for args in (["rearrange", "--in", sys.argv[1], "--out", sys.argv[2]],
+             ["verify", "--inequality", "alvino", "--profile", sys.argv[2]],
+             ["verify", "--inequality", "alvino", "--family", "alvino", "--T", "10", "--delta", "54.598"],
+             ["table", "constants"]):
+    assert cli.main(args) == 0, args
+    assert "scipy.special" not in sys.modules, args
+assert cli.main(["eval", "--family", "moser", "--n", "1000", "--beta", "4pi"]) == 0
+import scipy.special
+assert quadrature.dawsn is scipy.special.dawsn
+assert quadrature.gammainc is scipy.special.gammainc
+assert quadrature._gammainc_float is scipy.special.cython_special.gammainc
+# no module holds a stand-in under any name
+for name, mod in list(sys.modules.items()):
+    if name.split(".")[0] == "moser2d":
+        assert not any(any(v is s for s in stubs) for v in vars(mod).values()), name
+print("checked")
+"""
+    cells = tmp_path / "cells.csv"
+    cells.write_text("2.0,1.0\n1.0,2.0\n0.5,0.5\n")
+    out = tmp_path / "profile.json"
+    res = subprocess.run([sys.executable, "-c", code, str(cells), str(out)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "checked"
+
+
+def test_first_special_function_call_gives_the_bits_of_later_calls():
+    # each call runs first through freshly made stand-ins, which import
+    # scipy.special (in earnest for the first call of the fresh interpreter)
+    # and rebind, then again through scipy's own functions
+    code = """
+import dataclasses, json, math, sys
+import numpy as np
+from moser2d import RadialProfile, l2_norm_sq, moser, quadrature, remainder_functional, tm_functional
+from moser2d.sequences import _cap_l2_sq
+assert "scipy.special" not in sys.modules
+s32 = np.linspace(0.0, 6.0, 32)
+p2, p32 = moser(1000), RadialProfile(3.0, s32, np.sqrt(s32 / (4.0 * math.pi)) * 0.9)
+calls = {
+    "tm_functional-2": lambda: dataclasses.astuple(tm_functional(p2, 2.0 * math.pi)),
+    "remainder_functional-2": lambda: remainder_functional(p2, 2.0 * math.pi),
+    "tm_functional-32": lambda: dataclasses.astuple(tm_functional(p32, 2.0 * math.pi)),
+    "remainder_functional-32": lambda: remainder_functional(p32, 2.0 * math.pi),
+    "l2_norm_sq-3": lambda: l2_norm_sq(RadialProfile(2.0, [0.0, 0.5, 2.0], [0.0, 0.3, 0.7])),
+    "_cap_l2_sq": lambda: _cap_l2_sq(1.0, 3.0),
+}
+names = ("dawsn", "gammainc", "_gammainc_float")
+out = {}
+for key, call in calls.items():
+    for n, stub in zip(names, map(quadrature._first_call, names)):
+        setattr(quadrature, n, stub)
+    first = call()
+    assert quadrature.gammainc is sys.modules["scipy.special"].gammainc, key
+    out[key] = [[float(x).hex() for x in np.atleast_1d(r)] for r in (first, call())]
+print(json.dumps(out))
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    for key, (first, again) in json.loads(res.stdout).items():
+        assert first == again, key
 
 
 def test_oracles_pass():
@@ -321,6 +389,23 @@ def test_profile_cell_that_is_not_a_number_exits_2(tmp_path, doc):
     res = run_cli("eval", "--profile", str(path), "--beta", "2pi")
     assert res.returncode == 2, res.stderr
     assert res.stderr == "error: profile needs t_support and knots [[s, v], ...]\n"
+
+
+@pytest.mark.parametrize(
+    "text, msg",
+    [
+        ('{"t_support": 1%s, "knots": [[0, 0], [1, 1]]}' % ("0" * 400), "t_support must be positive and finite"),
+        ('{"t_support": 1, "knots": [[0, 0], [1%s, 1]]}' % ("0" * 400), "knots must be finite"),
+    ],
+    ids=["t_support", "knot"],
+)
+def test_profile_integer_beyond_binary64_range_exits_2(tmp_path, text, msg):
+    # json reads the literal as an int that float() refuses with OverflowError
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    res = run_cli("eval", "--profile", str(path), "--beta", "2pi")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "error: %s\n" % msg
 
 
 @pytest.mark.parametrize("row", ["abc,1.0", "1.0,abc"])

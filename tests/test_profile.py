@@ -936,6 +936,31 @@ def test_from_json_rejects_malformed():
         RadialProfile.from_json('{"t_support": 1.0, "knots": [[0.0]]}')
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: RadialProfile(x, [0, 1], [0, 1]),
+        lambda x: RadialProfile(1, [0, x], [0, 1]),
+        lambda x: RadialProfile(1, [0, 1], [0, x]),
+        lambda x: RadialProfile(1, np.array([0, x], dtype=object), [0, 1]),
+        lambda x: RadialProfile(1, [x], [0, 1]),
+        lambda x: RadialProfile.from_dict({"t_support": x, "knots": [[0, 0], [1, 1]]}),
+        lambda x: RadialProfile.from_dict({"t_support": 1, "knots": [[0, 0], [x, 1]]}),
+        lambda x: RadialProfile.from_dict({"t_support": 1, "knots": [[0, 0], [1, x]]}),
+    ],
+    ids=["t_support", "s", "v", "object_s", "unequal", "dict_t_support", "dict_s", "dict_v"],
+)
+def test_an_int_beyond_binary64_range_is_refused_as_inf(build):
+    # float(10**400) raises OverflowError, where the literal 1e400 is inf
+    for huge, inf in ((10**400, math.inf), (-(10**400), -math.inf)):
+        with pytest.raises(ValueError) as want:
+            build(inf)
+        with pytest.raises(ValueError) as got:
+            build(huge)
+        assert type(got.value) is ValueError
+        assert str(got.value) == str(want.value)
+
+
 def test_arrays_are_immutable():
     p = RadialProfile(1.0, [0.0, 1.0], [0.0, 1.0])
     with pytest.raises(ValueError):
