@@ -18,6 +18,7 @@ import numpy as np
 
 from .profile import (
     RadialProfile,
+    _float,
     _positive,
     _subcritical,
     _tol,
@@ -177,7 +178,7 @@ def at_constant_eps(beta: float, eps: float) -> float:
     best_eps(beta) = 1 - b sits strictly inside it.
     """
     b = _subcritical(beta)
-    eps = float(eps)
+    eps = _float(eps)
     if not (0.0 < eps < (1.0 - b) / b):
         raise ValueError("eps must lie in (0, 4 pi/beta - 1)")
     return _4PI * math.exp(b) * max(b, math.exp(b / eps) / (1.0 - b * (1.0 + eps)))

@@ -15,7 +15,7 @@ its permutation from the incumbent, places and scores them as one stack,
 and walks them in order.  The first acceptance discards the rest, which
 were built from the old incumbent.  A stack costs about as much as a dozen
 rows, so each batch is as long as the ascent's mean run of failed moves
-per acceptance so far.  Each row is computed as it would be alone, so the
+per acceptance so far, and as long as allowed before its first.  Each row is computed as it would be alone, so the
 search is the one-move-at-a-time search, bit for bit, at any batch width.
 """
 
@@ -31,6 +31,7 @@ from .inequalities import remainder_functional
 from .profile import (
     RadialProfile,
     _dirichlet_sq,
+    _float,
     _l2_sq,
     _positive,
     dirichlet_norm_sq,
@@ -54,9 +55,8 @@ __all__ = [
 _4PI = 4.0 * math.pi
 _KINDS = ("reduced", "ruf", "norm_sum")
 # ascend places and scores the next moves of its permutation as one stack:
-# _BATCH_MIN of them at first and twice as many after each batch until a
-# move is accepted, then its failed moves per acceptance so far; always
-# from _BATCH_MIN to _BATCH_MAX
+# _BATCH_MAX of them until a move is accepted, then its failed moves per
+# acceptance so far, from _BATCH_MIN to _BATCH_MAX
 _BATCH_MIN, _BATCH_MAX = 4, 32
 
 
@@ -83,14 +83,16 @@ class ConstraintSet:
             if not self.K > 0.0:
                 raise ValueError("K must be positive")
             # the L2 budget K^2 must be a positive binary64 number
-            if not 0.0 < float(self.K) * float(self.K) < math.inf:
-                raise ValueError("K must be positive with K^2 in binary64 range, not %r" % (self.K,))
+            k = _float(self.K)
+            if not 0.0 < k * k < math.inf:
+                raise ValueError("K must be positive with K^2 in binary64 range, not %r" % (k,))
         if self.kind == "ruf":
             if not self.tau > 0.0:
                 raise ValueError("tau must be positive")
             # the L2 budget (1 - theta)/tau must be a positive binary64 number
-            if not 0.0 < 1.0 / float(self.tau) < math.inf:
-                raise ValueError("tau must be positive with 1/tau in binary64 range, not %r" % (self.tau,))
+            tau = _float(self.tau)
+            if not 0.0 < 1.0 / tau < math.inf:
+                raise ValueError("tau must be positive with 1/tau in binary64 range, not %r" % (tau,))
 
     def residual(self, p: RadialProfile) -> float:
         """Largest constraint violation; <= 0 means feasible."""
@@ -249,9 +251,9 @@ def maximize(
     rejected, where the supremum is infinite.
 
     The starts are placed and scored as one stack, and so are the moves, in
-    speculative batches of _BATCH_MIN to _BATCH_MAX: a batch doubles until
-    an ascent accepts a move, and then is as long as the ascent's failed
-    moves per acceptance.  The result, the trace and the evaluation count
+    speculative batches: _BATCH_MAX moves until an ascent accepts one, then
+    as many as its failed moves per acceptance, from _BATCH_MIN to
+    _BATCH_MAX.  The result, the trace and the evaluation count
     are those of trying one move at a time.  An overflow raises
     ValueOverflowError only at a move the walk reaches.
     """
@@ -322,7 +324,6 @@ def maximize(
         j, theta, t, s, v = state[:5]
         steps = [0.3] * n_moves
         gap_floor = 1e-9 * (1.0 + float(s[-1]))
-        size = _BATCH_MIN
         fails = accepts = 0
         while evals < stop_evals:
             perm = rng.permutation(n_moves).tolist()
@@ -331,6 +332,7 @@ def maximize(
                 # the next moves from the incumbent, placed and scored as one
                 # stack; a move spends at most one evaluation, so the batch
                 # fits the budget
+                size = min(max(fails // accepts, _BATCH_MIN), _BATCH_MAX) if accepts else _BATCH_MAX
                 batch = perm[pos : pos + min(size, stop_evals - evals)]
                 cands = [move(k, steps[k], theta, s, v, gap_floor) for k in batch]
                 moved, theta2, s2, v2 = zip(*cands)
@@ -358,23 +360,18 @@ def maximize(
                         break
                     steps[k] = max(steps[k] * 0.5, 1e-7)
                     fails += 1
-                size = min(max(fails // accepts, _BATCH_MIN) if accepts else 2 * size, _BATCH_MAX)
         state[:5] = j, theta, t, s, v
 
-    if budget > evals:
-        share = max((budget - evals) // (2 * len(states)), n_moves)
-        for st in states:
+    share = max((budget - evals) // (2 * len(states)), n_moves)
+    for st in states:
+        ascend(st, min(evals + share, budget))
+    states.sort(key=lambda st: st[0], reverse=True)
+    top = states[:3]
+    while evals < budget:
+        share = max((budget - evals) // len(top), 1)
+        for st in top:
             ascend(st, min(evals + share, budget))
-        states.sort(key=lambda st: st[0], reverse=True)
-        top = states[: min(3, len(states))]
-        while evals < budget:
-            before = evals
-            share = max((budget - evals) // len(top), 1)
-            for st in top:
-                ascend(st, min(evals + share, budget))
-            if evals == before:
-                break
-        states.sort(key=lambda st: st[0], reverse=True)
+    states.sort(key=lambda st: st[0], reverse=True)
 
     _, _, t, s, v, label = states[0]
     best_profile = RadialProfile(t, s, v)
@@ -419,13 +416,13 @@ def blowup_scan(delta: float, big_k: float, beta_grid, n_grid, tol: float = 1e-8
     a grid such as 10^3..10^6 both columns decrease.  Strictly below the
     critical exponent the j column stays uniformly small.
     """
-    delta = float(delta)
-    big_k = float(big_k)
+    delta = _float(delta)
+    big_k = _float(big_k)
     if not (0.0 <= delta < 1.0):
         raise ValueError("delta must lie in [0, 1)")
     if not big_k > 0.0:
         raise ValueError("K must be positive")
-    beta_grid = [float(b) for b in beta_grid]
+    beta_grid = [_float(b) for b in beta_grid]
     n_grid = [int(n) for n in n_grid]
     if not beta_grid or not n_grid:
         raise ValueError("grids must be nonempty")
@@ -451,7 +448,7 @@ def vanishing_probe(constraint: ConstraintSet, beta: float, lam_grid, tol: float
     if constraint.kind != "reduced":
         raise ValueError("the vanishing probe is defined for the reduced constraint")
     beta = _positive(beta, "beta")
-    lams = [float(x) for x in lam_grid]
+    lams = [_float(x) for x in lam_grid]
     if not lams or any(not (0.0 < x <= 1.0) for x in lams):
         raise ValueError("lambda grid entries must lie in (0, 1]")
     amp = 1.0 - constraint.delta

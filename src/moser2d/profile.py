@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -248,7 +249,7 @@ class RadialProfile:
 
     def radial_value(self, r) -> float:
         """The radial avatar evaluated at radius r >= 0."""
-        r = float(r)
+        r = _float(r)
         if r < 0.0:
             raise ValueError("radius must be nonnegative")
         if r == 0.0:
@@ -272,20 +273,15 @@ class RadialProfile:
             t_support, knots = d["t_support"], d["knots"]
             if not set(map(len, knots)) <= {2}:
                 raise TypeError("a knot is an [s, v] pair")
-            # a cell that is a list, an object or a word raises here; true
-            # and false read as 1.0 and 0.0, so the cells at 0 and 1 are looked at
-            try:
-                s, v = (np.fromiter((k[j] for k in knots), float, len(knots)) for j in (0, 1))
-            except OverflowError:
-                s, v = (np.fromiter((_float(k[j]) for k in knots), float, len(knots)) for j in (0, 1))
-            cells = [t_support] + [knots[i][j] for j, x in enumerate((s, v))
-                                   for i in np.flatnonzero((x == 0.0) | (x == 1.0)).tolist()]
-            if any(type(c) is bool for c in cells):
-                raise TypeError("true or false is no number")
-            t_support = _float(t_support)
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            # every cell is a JSON number: true, false, a string, a list, an
+            # object and null are refused alike
+            cells = [t_support, *chain.from_iterable(knots)]
+            if not set(map(type, cells)) <= {int, float}:
+                raise TypeError("a cell is no number")
+        except (KeyError, TypeError) as exc:
             raise ValueError("profile needs t_support and knots [[s, v], ...]") from exc
-        return cls(t_support, s, v)
+        x = _floats(cells)
+        return cls(x[0], x[1::2], x[2::2])
 
     @classmethod
     def from_json(cls, text: str) -> "RadialProfile":
@@ -589,7 +585,7 @@ def scale_amplitude(p: RadialProfile, a: float) -> RadialProfile:
     Only a jump, a repeated s, can collapse when v is scaled; every other
     knot is kept with its s.
     """
-    a = float(a)
+    a = _float(a)
     if not (a >= 0.0 and math.isfinite(a)):
         raise ValueError("amplitude factor must be nonnegative and finite")
     if a == 1.0:
@@ -621,7 +617,7 @@ def insert_knot(p: RadialProfile, s_new: float) -> RadialProfile:
     A location already carrying a knot is returned as-is.  Past the last
     knot the plateau value is materialized.
     """
-    s_new = float(s_new)
+    s_new = _float(s_new)
     if not (s_new >= 0.0 and math.isfinite(s_new)):
         raise ValueError("knot location must be nonnegative and finite")
     s, v = p.s, p.v

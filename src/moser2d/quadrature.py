@@ -408,17 +408,13 @@ def _blame(blame, lp, row, knot, s, v):
 
 def _row_sums(row, n, *xs):
     """The sum of each of n rows' entries of every x in xs, whose entries
-    come in row order, row[i] for entry i.  Rows with one count are summed
-    as the rows of a 2-d array, which numpy sums as it would each row alone.
-    Ragged rows are packed to the left of a zero array and summed under the
-    mask of their entries: numpy hands each row's run of held entries to
-    the pairwise sum in one call, so each row keeps the bits of
-    x[row == r].sum(), an empty row 0.0."""
+    come in row order, row[i] for entry i.  The rows are packed to the left
+    of a zero array and summed under the mask of their entries: numpy hands
+    each row's run of held entries to the pairwise sum in one call, so each
+    row keeps the bits of x[row == r].sum(), an empty row 0.0."""
     if n == 1:
         return [x.sum(keepdims=True) for x in xs]
     count = np.bincount(row, minlength=n)
-    if (count == count[0]).all():
-        return [x.reshape(n, -1).sum(axis=1) for x in xs]
     held = np.arange(count.max()) < count[:, None]
     out = []
     for x in xs:
@@ -474,8 +470,6 @@ def _short_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
     total, err = _plateau(log_t, s[-1], v[-1], beta, remainder)
     if total == math.inf:
         raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
-    if not lin:
-        return total, err if bounds else None
     rb = math.sqrt(beta)
     lps, les = [], []
     for i in lin:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import RadialProfile, _positive
+from .profile import RadialProfile, _float, _floats, _positive
 from .quadrature import segment_moments
 
 __all__ = [
@@ -32,8 +32,8 @@ class WeightedSamples:
     areas: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        areas = np.asarray(self.areas, dtype=float)
+        values = _floats(self.values)
+        areas = _floats(self.areas)
         if values.ndim != 1 or values.shape != areas.shape or values.size == 0:
             raise ValueError("values and areas must be equal-length 1-d and nonempty")
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(areas))):
@@ -54,7 +54,7 @@ class WeightedSamples:
 
 def distribution(w: WeightedSamples, level: float) -> float:
     """Measure of {value > level}; nonincreasing and right-continuous."""
-    level = float(level)
+    level = _float(level)
     if not level >= 0.0:
         raise ValueError("level must be nonnegative")
     return float(w.areas[w.values > level].sum())
@@ -92,7 +92,7 @@ def decreasing_rearrangement(w: WeightedSamples) -> RadialProfile:
 
 def profile_distribution(p: RadialProfile, level: float) -> float:
     """Measure of {u* > level} for a profile, exact per segment."""
-    level = float(level)
+    level = _float(level)
     if not level >= 0.0:
         raise ValueError("level must be nonnegative")
     s, v = p.s, p.v

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import quadrature
-from .profile import RadialProfile, _check_knots, _positive, l2_norm_sq
+from .profile import RadialProfile, _check_knots, _float, _positive, l2_norm_sq
 
 __all__ = [
     "FAMILIES",
@@ -136,7 +136,7 @@ def counterexample_j_lower_bound(n) -> float:
 
 def _cap_args(k, r) -> tuple:
     """(t_support, k) of cap(k, r); shared by the builder and its closed form."""
-    k = float(k)
+    k = _float(k)
     if not (k >= 1.0 and math.isfinite(k)):
         raise ValueError("k must be >= 1")
     r = _positive(r, "r")
@@ -165,7 +165,7 @@ def zygmund_optimal(k: float) -> RadialProfile:
 def _alvino_args(t_support, delta) -> tuple:
     """(t_support, k) of alvino_extremal; shared by the builder and its closed form."""
     t = _positive(t_support, "t_support")
-    d = float(delta)
+    d = _float(delta)
     if not (d > 1.0 and math.isfinite(d)):
         raise ValueError("delta must exceed 1")
     return t, 2.0 * math.log(d)

@@ -6,7 +6,9 @@ or profile._tol.  The table feeds each site the values those rules refuse
 and asserts the exception type and the exact message; the scan asserts
 that no other function raises the three shared messages itself.  Two
 more scans keep the package's shape: each module's API is exported once,
-and every private helper is read somewhere in the package.
+and every private helper or constant is read somewhere in the package.
+The number arguments with a rule of their own read an int beyond binary64
+range as the float inf, through profile._float, as the shared rules do.
 """
 
 import ast
@@ -19,19 +21,25 @@ import moser2d
 from moser2d import (
     ConstraintSet,
     RadialProfile,
+    WeightedSamples,
     adachi_ratio,
     alvino_extremal,
     alvino_ratio_sup,
     at_constant_eps,
     at_quadratic_bound,
     best_eps,
+    blowup_scan,
     cap,
     cap_l2_sq,
+    distribution,
+    insert_knot,
     maximal_function,
     maximize,
     moser,
+    profile_distribution,
     remainder_functional,
     ruf_normalize,
+    scale_amplitude,
     scale_dilate,
     tau_rescale,
     tm_functional,
@@ -111,6 +119,45 @@ def test_an_int_beyond_binary64_range_is_refused_as_inf(site, call, x, msg):
     test_every_site_refuses_with_the_shared_message(site, call, 10**400 if x > 0 else -(10**400), msg)
 
 
+_W = WeightedSamples([1.0, 2.0], [1.0, 1.0])
+# (site, call of the argument x) for the number arguments outside the three
+# shared rules, each converted as profile._float converts
+_OWN_RULES = [
+    ("scale_amplitude", lambda x: scale_amplitude(_P, x)),
+    ("insert_knot", lambda x: insert_knot(_P, x)),
+    ("radial_value", _P.radial_value),
+    ("distribution", lambda x: distribution(_W, x)),
+    ("profile_distribution", lambda x: profile_distribution(_P, x)),
+    ("WeightedSamples_values", lambda x: WeightedSamples([1.0, x], [1.0, 1.0])),
+    ("WeightedSamples_areas", lambda x: WeightedSamples([1.0, 2.0], [1.0, x])),
+    ("ConstraintSet_K", lambda x: ConstraintSet("reduced", K=x)),
+    ("ConstraintSet_tau", lambda x: ConstraintSet("ruf", tau=x)),
+    ("blowup_scan_delta", lambda x: blowup_scan(x, 1.0, [1.0], [10])),
+    ("blowup_scan_K", lambda x: blowup_scan(0.1, x, [1.0], [10])),
+    ("blowup_scan_beta", lambda x: blowup_scan(0.1, 1.0, [1.0, x], [10])),
+    ("vanishing_probe", lambda x: vanishing_probe(ConstraintSet("reduced"), 1.0, [0.5, x])),
+    ("at_constant_eps", lambda x: at_constant_eps(1.0, x)),
+    ("cap", lambda x: cap(x, 1.0)),
+    ("alvino_extremal", lambda x: alvino_extremal(2.0, x)),
+]
+
+
+def _outcome(call, x):
+    """(exception type, message) of call(x), or (None, repr of its value)."""
+    try:
+        return None, repr(call(x))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("site, call", _OWN_RULES, ids=[c[0] for c in _OWN_RULES])
+def test_an_int_beyond_binary64_range_reads_as_inf_at_every_site(site, call):
+    # the site's own message shows the converted value, or a level of inf
+    # measures nothing, as the literal 1e400 does
+    for huge, inf in ((10**400, math.inf), (-(10**400), -math.inf)):
+        assert _outcome(call, huge) == _outcome(call, inf), (site, huge > 0)
+
+
 @pytest.mark.parametrize("site, call", _TOL, ids=[c[0] for c in _TOL])
 def test_tol_is_converted_as_a_float(site, call):
     assert call("1e-8") == call(1e-8)
@@ -165,14 +212,25 @@ def test_package_exports_each_module_api_once():
             assert getattr(moser2d, name) is getattr(module, name), name
 
 
+def _bound_names(node):
+    """The names a top-level statement binds: a function's or class's, or
+    every name among an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return []
+
+
 def test_every_private_helper_has_a_caller():
-    # every top-level _-prefixed function or class of the package is read
-    # (by name or as an attribute) somewhere in the package outside its own
-    # body; an import alone or a docstring naming it is no reference
+    # every top-level _-prefixed function, class or assigned constant of the
+    # package is read (by name or as an attribute) somewhere in the package
+    # outside its own body; an import alone or a docstring naming it is no
+    # reference, and dunder names such as __all__ are not helpers
     trees = [ast.parse(path.read_text()) for path in sorted(Path(moser2d.__file__).parent.glob("*.py"))]
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    helpers = {node.name: node for tree in trees for node in tree.body
-               if isinstance(node, kinds) and node.name.startswith("_")}
+    helpers = {name: node for tree in trees for node in tree.body for name in _bound_names(node)
+               if name.startswith("_") and not name.endswith("__")}
     own = {id(n): name for name, node in helpers.items() for n in ast.walk(node)}
     read = set()
     for tree in trees:

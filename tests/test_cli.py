@@ -379,9 +379,14 @@ def test_file_errors_exit_2(tmp_path):
         {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0, 0.5, 2.0]]},
         {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0]]},
         {"t_support": 1.0, "knots": [[0.0, 0.0], "ab"]},
+        {"t_support": "1", "knots": [[0.0, 0.0], [1.0, 0.5]]},
+        {"t_support": 1, "knots": [["0", "0"], ["1", "1_0"]]},
+        {"t_support": 1.0, "knots": [[0.0, 0.0], [1.0, "0.5"]]},
+        {"t_support": 1.0, "knots": [[0.0, 0.0], [None, 0.5]]},
     ],
     ids=["null_support", "object_support", "object_s", "object_v", "true_support", "true_s", "false_v",
-         "list_s", "list_v", "triple_with_word", "triple", "single", "two_letter_word"],
+         "list_s", "list_v", "triple_with_word", "triple", "single", "two_letter_word",
+         "string_support", "string_cells", "string_v", "null_s"],
 )
 def test_profile_cell_that_is_not_a_number_exits_2(tmp_path, doc):
     path = tmp_path / "p.json"

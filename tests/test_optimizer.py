@@ -465,6 +465,11 @@ _PINNED = {
     ("norm_sum", 64, 1, 500): ("0x1.7ccbeca521056p+3", "6ae662e0e645da05"),
     ("norm_sum", 64, 2, 500): ("0x1.7ccbeca521e55p+3", "e10dcc17ac6f17f8"),
     ("ruf", 32, 0, 5000): ("0x1.921fb53f79c8ep+3", "e120fe3dd456220c"),
+    # budgets at or below the 20 starts, and one evaluation past them
+    ("reduced", 32, 1, 1): ("0x1.ec70093a4ea73p+2", "bb7d31eec9f5dc54"),
+    ("ruf", 32, 2, 7): ("0x1.91e51e5b15bb0p+3", "b597f85ffdb81046"),
+    ("norm_sum", 64, 1, 20): ("0x1.79724fbce778bp+3", "8bbcf1cb0743006e"),
+    ("reduced", 32, 2, 21): ("0x1.554c9483655f6p+3", "92dd59fa58eaf422"),
 }
 
 
@@ -505,6 +510,40 @@ def test_acceptance_rate_sets_fewer_stacks(monkeypatch):
         _, batches = _batches(monkeypatch, case=case)
         assert len(batches) < stacks, case
         assert sum(len(t) for t, _ in batches) <= 1.05 * rows, case
+
+
+def test_an_ascent_opens_with_a_full_stack(monkeypatch):
+    # before its first acceptance an ascent has no failure rate to go by: its
+    # first stack holds _BATCH_MAX moves, or as many as it has evaluations left
+    for kind, n, seed, budget in [("ruf", 32, 1, 500), ("reduced", 32, 0, 3000), ("norm_sum", 16, 2, 700)]:
+        res, batches = _batches(monkeypatch, case=(kind, n, seed, budget))
+        # each ascent's (first, stop) evaluation count, as maximize's docstring
+        # schedules them: the 20 starts in turn, then the best three
+        evals = g = min(20, budget)
+        spans, share = [], max((budget - g) // (2 * g), 4 * n)
+        for _ in range(g):
+            spans.append((evals, min(evals + share, budget)))
+            evals = spans[-1][1]
+        while evals < budget:
+            share = max((budget - evals) // 3, 1)
+            for _ in range(3):
+                spans.append((evals, min(evals + share, budget)))
+                evals = spans[-1][1]
+        spans = [(first, stop) for first, stop in spans if stop > first]
+        # after the starts' stack, each placed row the walk reads spends one
+        # evaluation, and an ascent stops at exactly its stop count
+        spent, k, opened, widths = g, 0, False, []
+        for t, read in batches[1:]:
+            if not opened:
+                first, stop = spans[k]
+                assert spent == first, (kind, k)
+                widths.append((len(t), min(optimizer._BATCH_MAX, stop - first)))
+                opened = True
+            spent += len(read)
+            if spent == spans[k][1]:
+                k, opened = k + 1, False
+        assert k == len(spans) and spent == res.n_evaluations == budget
+        assert all(got == want for got, want in widths), (kind, widths)
 
 
 # the lengths that reached segment_moments on (ruf, 4 pi, 32 knots, budget

@@ -332,14 +332,18 @@ def test_profile_slices_multiply_as_separate_products():
 def test_ragged_row_sums_are_each_rows_own_sum():
     # _row_sums sums rows of different lengths under one mask: numpy must
     # hand each row's entries to the pairwise sum as one run, also past its
-    # 128-entry blocks, so that every row has the bits of its own sum
+    # 128-entry blocks, so that every row has the bits of its own sum; the
+    # last 300 stacks give every row one count, which the mask sums too
     rng = np.random.default_rng(19)
     specials = [0.0, math.inf, -math.inf, math.nan]
-    for trial in range(600):
+    for trial in range(900):
         n = int(rng.integers(2, 41))
-        count = rng.integers(0, 301 if trial % 2 else 20, n)
-        count[int(rng.integers(0, n))] = 0
-        count[int(rng.integers(0, n))] += 1
+        if trial < 600:
+            count = rng.integers(0, 301 if trial % 2 else 20, n)
+            count[int(rng.integers(0, n))] = 0
+            count[int(rng.integers(0, n))] += 1
+        else:
+            count = np.full(n, int(rng.integers(1, 300)))
         row = np.repeat(np.arange(n), count)
         xs = [rng.standard_normal(row.size) * 10.0 ** rng.uniform(-30.0, 30.0, row.size)
               for _ in range(1 + trial % 2)]
