@@ -134,29 +134,56 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % type(obj))
 
 
-def _json_text(obj, pad="\n") -> str:
+def _knot_cells(x):
+    """The floats of knot column x, for a %s template.
+
+    Where neighbours share their bits, as the jump knots of a step profile
+    do, repr runs once per run and its texts are expanded by index; bits,
+    not values, so that -0.0 beside 0.0 keeps both spellings.  A column
+    without runs is returned as floats, which the template formats.
+    """
+    bits = x.view(np.int64)
+    first = np.concatenate(([True], bits[1:] != bits[:-1]))
+    if first.all():
+        return x.tolist()
+    texts = np.array(list(map(repr, x[first].tolist())), dtype=object)
+    return texts[np.cumsum(first) - 1].tolist()
+
+
+def _json_text(obj, pad="\n", knot_texts=None) -> str:
     """json.dumps(obj, sort_keys=True, indent=2, default=_json_default), byte
-    for byte, with a profile's knots written in one C-level pass.
+    for byte, with a profile's knots filled into one %s template.
 
     pad is a newline plus the indent of the line that holds obj.  It walks
     non-empty lists and tuples, and dicts whose keys are all strings, only
-    to reach profiles; json writes every other value.
+    to reach profiles; json writes every other value.  The knot text of
+    profiles that share their knot arrays, as scale_dilate's do, is made
+    once per indent: knot_texts maps (id(s), id(v), indent) to the text and
+    holds s and v, so that no id is reused while the call runs.
     """
+    if knot_texts is None:
+        knot_texts = {}
     inner = pad + "  "
     if isinstance(obj, RadialProfile):
         row = inner + "  "
-        pair = "[" + row + "  %r," + row + "  %r" + row + "]"
-        knots = ("," + row).join([pair] * obj.n_knots) % tuple(
-            np.column_stack((obj.s, obj.v)).ravel().tolist()
-        )
+        s, v = obj.s, obj.v
+        key = (id(s), id(v), row)
+        if key not in knot_texts:
+            cells = [None] * (2 * obj.n_knots)
+            cells[0::2] = _knot_cells(s)
+            cells[1::2] = _knot_cells(v)
+            pair = "[" + row + "  %s," + row + "  %s" + row + "]"
+            knot_texts[key] = (("," + row).join([pair] * obj.n_knots) % tuple(cells), s, v)
         return "{%s\"knots\": [%s%s%s],%s\"t_support\": %r%s}" % (
-            inner, row, knots, inner, inner, obj.t_support, pad
+            inner, row, knot_texts[key][0], inner, inner, obj.t_support, pad
         )
     if isinstance(obj, (list, tuple)) and obj:
-        return "[" + inner + ("," + inner).join(_json_text(x, inner) for x in obj) + pad + "]"
+        return "[" + inner + ("," + inner).join(
+            _json_text(x, inner, knot_texts) for x in obj
+        ) + pad + "]"
     if isinstance(obj, dict) and set(map(type, obj)) == {str}:
         return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)
+            json.dumps(k) + ": " + _json_text(obj[k], inner, knot_texts) for k in sorted(obj)
         ) + pad + "}"
     if isinstance(obj, (list, tuple, dict, np.ndarray)):
         # no JSON string holds a raw newline, so every newline starts a line

@@ -247,8 +247,9 @@ def maximize(
     bound, so the returned profile has residual <= 0, and the reported best
     value is a fresh evaluation of it at tolerance 1e-8; the search runs at
     1e-6.
-    For the reduced constraint the critical exponent 4 pi/(1-delta)^2 is
-    rejected, where the supremum is infinite.
+    beta is rejected where the supremum is infinite: for the reduced
+    constraint from the critical exponent 4 pi/(1-delta)^2 on, and for ruf
+    and norm_sum above 4 pi.  At beta = 4 pi their suprema are finite.
 
     The starts are placed and scored as one stack, and so are the moves, in
     speculative batches: _BATCH_MAX moves until an ascent accepts one, then
@@ -263,6 +264,8 @@ def maximize(
         raise ValueError(
             "supremum is infinite for beta >= 4 pi/(1-delta)^2 = %.6g" % (_4PI / ceiling)
         )
+    if constraint.kind != "reduced" and beta > _4PI:
+        raise ValueError("supremum is infinite for beta > 4 pi = %.6g" % _4PI)
     if n_knots < 4:
         raise ValueError("n_knots must be >= 4")
     if budget < 1:

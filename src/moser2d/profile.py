@@ -16,6 +16,7 @@ value v_last (terminal plateau), and u*(t) = 0 for t > T.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -285,11 +286,18 @@ class RadialProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "RadialProfile":
+        # json.loads makes one list per knot, and those allocations start
+        # collector passes that can find nothing: JSON values hold no cycle
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             d = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: arrays or objects nested past the decoder's depth
             raise ValueError("invalid profile json: %s" % exc) from exc
+        finally:
+            if enabled:
+                gc.enable()
         return cls.from_dict(d)
 
     def __eq__(self, other) -> bool:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from moser2d import RadialProfile, SequenceSpec, blowup_scan, cap_l2_sq, moser, tm_functional
+from moser2d import RadialProfile, SequenceSpec, blowup_scan, cap_l2_sq, moser, scale_dilate, tm_functional
 from moser2d import cli
 from moser2d.cli import _json_default, _json_text, build_parser
+from moser2d.rearrangement import WeightedSamples, decreasing_rearrangement
 from moser2d.sequences import FAMILIES
 
 from conftest import rel_err
@@ -259,6 +260,17 @@ def test_equivalence_directions():
         "equivalence", "--direction", "ruf-to-at", "--family", "moser", "--n", "100"
     )
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("kind", ["ruf", "norm-sum"])
+def test_optimize_refuses_beta_past_4pi(kind, tmp_path, capsys):
+    argv = ["optimize", "--constraint", kind, "--knots", "8", "--budget", "30"]
+    assert cli.main(argv + ["--beta", "4pi", "--out", str(tmp_path / "a.json")]) == 0
+    assert json.loads((tmp_path / "a.json").read_text())["best_value"] > 0.0
+    past = repr(math.nextafter(4.0 * math.pi, math.inf))
+    assert cli.main(argv + ["--beta", past, "--out", str(tmp_path / "b.json")]) == 2
+    assert "supremum is infinite" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_optimize_outputs_are_reproducible(tmp_path):
@@ -562,6 +574,13 @@ _PROFILES = [
     RadialProfile(_TINY, [0.0, _TINY, 2 * _TINY], [0.0, _TINY, 1e-310]),
     RadialProfile(_HUGE, [0.0, 1e300, _HUGE], [1e-300, 1e307, _HUGE]),
     moser(1000),
+    # a step profile of tied cells: every s and every v sits in a run
+    decreasing_rearrangement(WeightedSamples(
+        np.round(np.random.default_rng(3).random(60), 1), np.random.default_rng(4).uniform(0.5, 2.0, 60)
+    )),
+    # -0.0 beside 0.0 keeps both spellings, beside a run and alone
+    RadialProfile(1.0, [-0.0, 0.0, 1.0], [0.0, 0.5, 0.5]),
+    RadialProfile(1.0, [0.0, 0.5, 0.5, 1.0], [-0.0, 0.0, 1.0, 1.0]),
 ]
 _pairs = st.lists(st.tuples(_floats, _floats).map(list), max_size=6)
 _keys = st.one_of(st.text(max_size=6), st.sampled_from(['a"b', "c\\d", "\u00e9\u2603", "\x00"]))
@@ -608,14 +627,16 @@ def test_json_text_matches_stdlib(payload):
     assert _json_text(payload) == want
 
 
-@pytest.mark.parametrize("p", _PROFILES, ids=["zero", "jumps", "negative_zero", "tiny", "huge", "moser"])
+@pytest.mark.parametrize("p", _PROFILES, ids=["zero", "jumps", "negative_zero", "tiny", "huge", "moser",
+                                               "tied_steps", "signed_zero_s", "signed_zero_v"])
 def test_json_text_writes_a_profile_as_its_dict(p):
     want = json.dumps(p.to_dict(), sort_keys=True, indent=2)
     assert _json_text(p) == want
-    nested = {"profiles": [p, p], "tag": "x"}
-    assert _json_text(nested) == json.dumps(
-        {"profiles": [p.to_dict(), p.to_dict()], "tag": "x"}, sort_keys=True, indent=2
-    )
+    # q shares p's knot arrays; p and q recur at two indents
+    q = scale_dilate(p, 2.0 if p.t_support > 1.0 else 0.5)
+    assert q.s is p.s and q.v is p.v
+    nested = {"a": p, "b": [p, q], "profiles": [p, p, q], "tag": "x"}
+    assert _json_text(nested) == json.dumps(nested, sort_keys=True, indent=2, default=_json_default)
 
 
 def test_readme_commands_write_the_json_layout(tmp_path):

@@ -101,6 +101,19 @@ def test_maximize_validation():
         maximize(ConstraintSet("ruf"), beta=_4PI, budget=0)
 
 
+@pytest.mark.parametrize("kind", ["ruf", "norm_sum"])
+def test_maximize_refuses_beta_past_4pi(kind):
+    # the supremum is finite at 4 pi and infinite past it
+    c = ConstraintSet(kind)
+    res = maximize(c, _4PI, n_knots=8, budget=30, seed=0)
+    assert math.isfinite(res.best_value)
+    with pytest.raises(ValueError, match="supremum is infinite"):
+        maximize(c, math.nextafter(_4PI, math.inf), n_knots=8, budget=30, seed=0)
+    # the reduced set's own critical exponent lies past 4 pi when delta > 0
+    res = maximize(ConstraintSet("reduced", delta=0.5), math.nextafter(_4PI, math.inf), n_knots=8, budget=30)
+    assert math.isfinite(res.best_value)
+
+
 def test_maximize_small_run_contract():
     c = ConstraintSet("reduced", delta=0.0, K=1.0)
     beta = 2.0 * math.pi

@@ -1,3 +1,5 @@
+import gc
+import json
 import math
 import warnings
 
@@ -934,6 +936,25 @@ def test_from_json_rejects_malformed():
         RadialProfile.from_json('{"t_support": 1.0}')
     with pytest.raises(ValueError):
         RadialProfile.from_json('{"t_support": 1.0, "knots": [[0.0]]}')
+
+
+def test_from_json_leaves_the_collector_as_it_found_it():
+    good = RadialProfile(1.0, [0.0, 1.0], [0.0, 1.0]).to_json()
+    broken = "{не json"
+    too_deep = '{"t_support": 1.0, "knots": ' + "[" * 200000 + "]" * 200000 + "}"
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert RadialProfile.from_json(good).n_knots == 2
+            assert gc.isenabled() is enabled
+            for text, cause in ((broken, json.JSONDecodeError), (too_deep, RecursionError)):
+                with pytest.raises(ValueError, match="invalid profile json") as err:
+                    RadialProfile.from_json(text)
+                assert isinstance(err.value.__cause__, cause)
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize(
