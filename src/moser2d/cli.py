@@ -9,6 +9,7 @@ in a separate .stamp file next to the output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
@@ -16,6 +17,7 @@ import io
 import itertools
 import json
 import math
+import os
 import platform
 import re
 import sys
@@ -150,66 +152,111 @@ def _knot_cells(x):
     return texts[np.cumsum(first) - 1].tolist()
 
 
-def _json_text(obj, pad="\n", knot_texts=None) -> str:
+# knots per part of a profile's text, so that a part stays near 300 kB
+_KNOT_BLOCK = 4096
+
+
+def _knot_blocks(s, v, row):
+    """The text of the knots (s, v) on lines that open with row, in parts
+    of _KNOT_BLOCK knots; each part after the first opens with its comma."""
+    pair = "[" + row + "  %s," + row + "  %s" + row + "]"
+    more = "," + row + pair
+    for i in range(0, s.size, _KNOT_BLOCK):
+        k = min(_KNOT_BLOCK, s.size - i)
+        cells = [None] * (2 * k)
+        cells[0::2] = _knot_cells(s[i : i + k])
+        cells[1::2] = _knot_cells(v[i : i + k])
+        yield (more * k if i else pair + more * (k - 1)) % tuple(cells)
+
+
+def _knot_ids(obj):
+    """(id(s), id(v)) of each profile in obj; scale_dilate's profiles share
+    their parent's."""
+    if isinstance(obj, RadialProfile):
+        yield id(obj.s), id(obj.v)
+    elif isinstance(obj, (list, tuple, dict)):
+        for x in obj.values() if isinstance(obj, dict) else obj:
+            yield from _knot_ids(x)
+
+
+def _json_parts(obj, pad="\n", knot_texts=None):
     """json.dumps(obj, sort_keys=True, indent=2, default=_json_default), byte
-    for byte, with a profile's knots filled into one %s template.
+    for byte, as a sequence of strings; a profile's knots come in parts of
+    _KNOT_BLOCK knots, each filled into one %s template.
 
     pad is a newline plus the indent of the line that holds obj.  It walks
     non-empty lists and tuples, and dicts whose keys are all strings, only
     to reach profiles; json writes every other value.  The knot text of
-    profiles that share their knot arrays, as scale_dilate's do, is made
-    once per indent: knot_texts maps (id(s), id(v), indent) to the text and
-    holds s and v, so that no id is reused while the call runs.
+    profiles that share their knot arrays is made once per indent and
+    kept: knot_texts maps (id(s), id(v)) of each shared pair to {indent:
+    parts}, and the profiles in obj hold the arrays, so that no id is
+    reused while the parts are made.  Every other profile's parts are made
+    as they are taken, so that a writer holds one part at a time.
     """
     if knot_texts is None:
-        knot_texts = {}
+        counts = collections.Counter(_knot_ids(obj))
+        knot_texts = {key: {} for key, n in counts.items() if n > 1}
     inner = pad + "  "
     if isinstance(obj, RadialProfile):
         row = inner + "  "
         s, v = obj.s, obj.v
-        key = (id(s), id(v), row)
-        if key not in knot_texts:
-            cells = [None] * (2 * obj.n_knots)
-            cells[0::2] = _knot_cells(s)
-            cells[1::2] = _knot_cells(v)
-            pair = "[" + row + "  %s," + row + "  %s" + row + "]"
-            knot_texts[key] = (("," + row).join([pair] * obj.n_knots) % tuple(cells), s, v)
-        return "{%s\"knots\": [%s%s%s],%s\"t_support\": %r%s}" % (
-            inner, row, knot_texts[key][0], inner, inner, obj.t_support, pad
-        )
-    if isinstance(obj, (list, tuple)) and obj:
-        return "[" + inner + ("," + inner).join(
-            _json_text(x, inner, knot_texts) for x in obj
-        ) + pad + "]"
-    if isinstance(obj, dict) and set(map(type, obj)) == {str}:
-        return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + _json_text(obj[k], inner, knot_texts) for k in sorted(obj)
-        ) + pad + "}"
-    if isinstance(obj, (list, tuple, dict, np.ndarray)):
+        yield "{%s\"knots\": [%s" % (inner, row)
+        kept = knot_texts.get((id(s), id(v)))
+        if kept is None:
+            yield from _knot_blocks(s, v, row)
+        else:
+            if row not in kept:
+                kept[row] = list(_knot_blocks(s, v, row))
+            yield from kept[row]
+        yield "%s],%s\"t_support\": %r%s}" % (inner, inner, obj.t_support, pad)
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[" + inner
+        for x in obj:
+            yield sep
+            yield from _json_parts(x, inner, knot_texts)
+            sep = "," + inner
+        yield pad + "]"
+    elif isinstance(obj, dict) and set(map(type, obj)) == {str}:
+        sep = "{" + inner
+        for k in sorted(obj):
+            yield sep + json.dumps(k) + ": "
+            yield from _json_parts(obj[k], inner, knot_texts)
+            sep = "," + inner
+        yield pad + "}"
+    elif isinstance(obj, (list, tuple, dict, np.ndarray)):
         # no JSON string holds a raw newline, so every newline starts a line
-        return json.dumps(obj, sort_keys=True, indent=2, default=_json_default).replace("\n", pad)
-    return json.dumps(obj, default=_json_default)
+        yield json.dumps(obj, sort_keys=True, indent=2, default=_json_default).replace("\n", pad)
+    else:
+        yield json.dumps(obj, default=_json_default)
 
 
 def _emit(ns, payload, rows=None) -> None:
+    """Write payload as JSON, or as CSV rows, to --out or to stdout, and its
+    manifest beside --out or to stderr.
+
+    JSON goes out part by part as _json_parts makes it, so that a profile's
+    text is never held whole; the CSV and the manifest are written whole.
+    """
     if ns.format == "csv":
-        text = _csv_text(rows if rows is not None else _kv_rows(payload))
+        parts = [_csv_text(rows if rows is not None else _kv_rows(payload))]
     else:
-        text = _json_text(payload) + "\n"
-    manifest = _json_text(
-        {
-            "argv": list(ns.raw_argv),
-            "package": "moser2d " + __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "seed": ns.seed,
-        }
+        parts = itertools.chain(_json_parts(payload), ["\n"])
+    manifest = "".join(
+        _json_parts(
+            {
+                "argv": list(ns.raw_argv),
+                "package": "moser2d " + __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "seed": ns.seed,
+            }
+        )
     )
     manifest += "\n"
     if ns.out:
         with open(ns.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         with open(ns.out + ".manifest.json", "w") as fh:
             fh.write(manifest)
         with open(ns.out + ".stamp", "w") as fh:
@@ -218,7 +265,7 @@ def _emit(ns, payload, rows=None) -> None:
             if wall is not None:
                 fh.write("wall_time %.6f\n" % wall)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         sys.stderr.write(manifest)
 
 
@@ -236,8 +283,11 @@ def _family_profile(ns) -> RadialProfile:
 
 def _load_profile(ns) -> RadialProfile:
     if getattr(ns, "profile", None):
-        with open(ns.profile) as fh:
-            return RadialProfile.from_json(fh.read())
+        with open(ns.profile, "rb") as fh:
+            # a leading byte-order mark is dropped, as _read_samples drops
+            # one, and the bytes are freed before the parse
+            text = fh.read().decode("utf-8-sig")
+        return RadialProfile.from_json(text)
     if getattr(ns, "family", None):
         return _family_profile(ns)
     raise ValueError("provide --profile FILE or --family NAME")
@@ -323,26 +373,28 @@ def _csv_rows(lines, name):
     return values, areas
 
 
-def _c_columns(first, lines):
+def _c_columns(path, first):
     """_csv_rows's columns as arrays, parsed by numpy's C reader, which
     quotes as csv does and, but for _SEPARATORS, reads a number as float
     does or refuses it.
 
-    first is the first line and lines iterates the others.  Raises
-    ValueError or csv.Error where the reader refuses a row, or where row 0
-    leaves a quoted cell open past the first line.
+    The reader opens the file at path itself and reads it in chunks; first
+    is its first line, a byte-order mark dropped, which is skipped where it
+    is a header.  Raises ValueError or csv.Error where the reader refuses a
+    row, or where row 0 leaves a quoted cell open past the first line.
     """
     head = next(csv.reader([first], strict=True), None) or [""]
     try:
         float(head[0])
-        lines = itertools.chain([first], lines)
+        skip = 0
     except ValueError:
-        pass  # row 0 is a header or blank
+        skip = 1  # row 0 is a header or blank
     with warnings.catch_warnings():
         # no rows warn; the caller refuses them as "no samples"
         warnings.simplefilter("ignore", UserWarning)
         cols = np.loadtxt(
-            lines, delimiter=",", comments=None, quotechar='"', usecols=(0, 1), ndmin=2
+            path, delimiter=",", comments=None, quotechar='"', usecols=(0, 1), ndmin=2,
+            skiprows=skip, encoding="utf-8-sig",
         )
     return cols.T.copy()
 
@@ -352,16 +404,23 @@ def _c_columns(first, lines):
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
+def _plain_name(path) -> bool:
+    """Whether np.loadtxt opens path as the plain file it names: numpy's
+    DataSource fetches a name of the form scheme://host/... and
+    decompresses a file by its extension."""
+    return "://" not in path and os.path.splitext(path)[1] not in (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _read_samples(path):
     """The value and area columns of the CSV file at path, as _csv_rows
     reads them once a leading byte-order mark is dropped.
 
-    _c_columns reads a seekable file without a byte of _SEPARATORS; where
-    it raises, and for every other file, _csv_rows reads the rows and
-    picks the message.
+    _c_columns reads a seekable file without a byte of _SEPARATORS whose
+    name numpy reads as a plain file; where it raises, and for every other
+    file, _csv_rows reads the rows and picks the message.
     """
     with open(path, newline="") as fh:
-        fast = fh.seekable()
+        fast = fh.seekable() and _plain_name(path)
         if fast:
             blocks = iter(functools.partial(fh.buffer.read, 1 << 20), b"")
             fast = not any(sep in block for block in blocks for sep in _SEPARATORS)
@@ -369,10 +428,9 @@ def _read_samples(path):
         first = fh.readline().removeprefix("\ufeff")
         if fast:
             try:
-                return _c_columns(first, fh)
+                return _c_columns(path, first)
             except (ValueError, csv.Error):
-                fh.seek(0)
-                fh.readline()
+                pass
         return _csv_rows(itertools.chain([first], fh), path)
 
 

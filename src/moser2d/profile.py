@@ -286,19 +286,28 @@ class RadialProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "RadialProfile":
-        # json.loads makes one list per knot, and those allocations start
-        # collector passes that can find nothing: JSON values hold no cycle
+        """The profile of a JSON document of from_dict's layout.
+
+        json.loads makes one list per knot, and those allocations start
+        collector passes that can find nothing: JSON values hold no cycle.
+        The collector stays off until from_dict has returned and the parsed
+        document is freed, so that no pass walks its lists on the way out,
+        and is then left as the caller had it, on every path.
+        """
         enabled = gc.isenabled()
         gc.disable()
         try:
-            d = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: arrays or objects nested past the decoder's depth
-            raise ValueError("invalid profile json: %s" % exc) from exc
+            try:
+                d = json.loads(text)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                # RecursionError: arrays or objects nested past the decoder's depth
+                raise ValueError("invalid profile json: %s" % exc) from exc
+            p = cls.from_dict(d)
+            del d
+            return p
         finally:
             if enabled:
                 gc.enable()
-        return cls.from_dict(d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadialProfile):

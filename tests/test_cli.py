@@ -1,11 +1,15 @@
 """End-to-end command line checks via subprocess."""
 
+import argparse
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -14,19 +18,30 @@ from hypothesis import example, given, settings, strategies as st
 
 from moser2d import RadialProfile, SequenceSpec, blowup_scan, cap_l2_sq, moser, scale_dilate, tm_functional
 from moser2d import cli
-from moser2d.cli import _json_default, _json_text, build_parser
+from moser2d.cli import _KNOT_BLOCK, _emit, _json_default, _json_parts, build_parser
 from moser2d.rearrangement import WeightedSamples, decreasing_rearrangement
 from moser2d.sequences import FAMILIES
 
 from conftest import rel_err
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _child(argv, **kwargs):
+    """subprocess.run of argv with this checkout's src/ first on PYTHONPATH,
+    so that the child imports the moser2d under test however pytest ran."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(argv, env=env, capture_output=True, **kwargs)
+
+
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "moser2d", *args],
-        capture_output=True,
-        text=True,
-    )
+    return _child([sys.executable, "-m", "moser2d", *args], text=True)
+
+
+def _json_text(obj):
+    return "".join(_json_parts(obj))
 
 
 def test_import_loads_no_scipy_integrate_or_optimize():
@@ -37,7 +52,7 @@ def test_import_loads_no_scipy_integrate_or_optimize():
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = _child([sys.executable, "-c", code], text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
@@ -69,7 +84,7 @@ print("checked")
     cells = tmp_path / "cells.csv"
     cells.write_text("2.0,1.0\n1.0,2.0\n0.5,0.5\n")
     out = tmp_path / "profile.json"
-    res = subprocess.run([sys.executable, "-c", code, str(cells), str(out)], capture_output=True, text=True)
+    res = _child([sys.executable, "-c", code, str(cells), str(out)], text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "checked"
 
@@ -104,7 +119,7 @@ for key, call in calls.items():
     out[key] = [[float(x).hex() for x in np.atleast_1d(r)] for r in (first, call())]
 print(json.dumps(out))
 """
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = _child([sys.executable, "-c", code], text=True)
     assert res.returncode == 0, res.stderr
     for key, (first, again) in json.loads(res.stdout).items():
         assert first == again, key
@@ -187,6 +202,32 @@ def test_eval_rejects_malformed_profile(tmp_path):
     bad.write_text('{"knots": "nope"}')
     res = run_cli("eval", "--profile", str(bad), "--beta", "2pi")
     assert res.returncode == 2
+
+
+def test_profile_and_csv_readers_drop_a_byte_order_mark(tmp_path, capsys):
+    # both readers take a leading UTF-8 mark; other encodings still exit 2
+    doc = '{"t_support": 3.0, "knots": [[0.0, 0.0], [1.0, 0.5]]}'
+    rows = b"value,area\n2.0,1.0\n1.0,2.0\n"
+    outs = []
+    for name, data in (("plain.json", doc.encode()), ("bom.json", b"\xef\xbb\xbf" + doc.encode()),
+                       ("plain.csv", rows), ("bom.csv", b"\xef\xbb\xbf" + rows)):
+        (tmp_path / name).write_bytes(data)
+        if name.endswith(".json"):
+            assert cli.main(["eval", "--profile", str(tmp_path / name), "--beta", "1"]) == 0
+        else:
+            assert cli.main(["rearrange", "--in", str(tmp_path / name)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    for name, data in (
+        ("utf16.json", doc.encode("utf-16")),
+        ("utf16le.json", doc.encode("utf-16-le")),
+        ("utf32.json", doc.encode("utf-32")),
+        ("bom_twice.json", b"\xef\xbb\xbf" * 2 + doc.encode()),
+        ("latin1.json", b"\xef\xbb\xbf" + doc.encode() + b"\xe9"),
+    ):
+        (tmp_path / name).write_bytes(data)
+        assert cli.main(["eval", "--profile", str(tmp_path / name), "--beta", "1"]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
 
 
 def test_rearrange_roundtrip(tmp_path):
@@ -521,12 +562,26 @@ def test_rearrange_reads_past_a_byte_order_mark(tmp_path):
 
 
 def test_rearrange_reads_a_pipe_row_by_row():
-    res = subprocess.run(
+    res = _child(
         [sys.executable, "-m", "moser2d", "rearrange", "--in", "/dev/stdin"],
-        input=b"\xef\xbb\xbfvalue,area\n2.0,1.0\n1.0,2.0\n0.5,0.5\n", capture_output=True,
+        input=b"\xef\xbb\xbfvalue,area\n2.0,1.0\n1.0,2.0\n0.5,0.5\n",
     )
     assert res.returncode == 0, res.stderr
     assert RadialProfile.from_json(res.stdout).t_support == 3.5
+
+
+def test_rearrange_reads_a_plain_file_that_numpy_would_open_otherwise(tmp_path, capsys):
+    # np.loadtxt decompresses by extension and fetches URLs; these names
+    # are read row by row as the plain files they are
+    assert not cli._plain_name("http://example.invalid/cells.csv")
+    rows = "value,area\n2.0,1.0\n1.0,2.0\n"
+    outs = []
+    for name in ("cells.csv", "cells.gz", "cells.bz2", "cells.xz", "cells.lzma"):
+        (tmp_path / name).write_text(rows)
+        assert cli._plain_name(str(tmp_path / name)) is (name == "cells.csv")
+        assert cli.main(["rearrange", "--in", str(tmp_path / name)]) == 0, name
+        outs.append(capsys.readouterr().out)
+    assert outs == outs[:1] * len(outs)
 
 
 def test_rearrange_csv_output_is_the_profile_dict(tmp_path):
@@ -567,6 +622,28 @@ _EDGE_FLOATS = [
 ]
 _floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
 _TINY, _HUGE = 5e-324, 1.7976931348623157e308
+
+
+def _block_edge_profile():
+    """A profile of more than two knot blocks: a run of 0.0 broken by -0.0
+    at the first block edge, a jump (a run of equal s) across the second and
+    a plateau (a run of equal v) across the third."""
+    n = 3 * _KNOT_BLOCK + 500
+    s = np.arange(n, dtype=float)
+    s[2 * _KNOT_BLOCK :] -= 1.0  # s[2B - 1] == s[2B]
+    v = np.zeros(n)
+    v[_KNOT_BLOCK] = -0.0
+    rise = np.arange(_KNOT_BLOCK + 4, n)
+    v[rise] = np.minimum(2e-3 * (rise - _KNOT_BLOCK - 3), 9.5)
+    v[2 * _KNOT_BLOCK :] += 0.5
+    p = RadialProfile(7.0, s, v)
+    edges = [k * _KNOT_BLOCK for k in (1, 2, 3)]
+    assert str(p.v[edges[0] - 1]) == "0.0" and str(p.v[edges[0]]) == "-0.0"
+    assert p.s[edges[1] - 1] == p.s[edges[1]] and p.v[edges[1] - 1] < p.v[edges[1]]
+    assert p.v[edges[2] - 2] == p.v[edges[2] + 1] == 10.0
+    return p
+
+
 _PROFILES = [
     RadialProfile.zero(),
     RadialProfile(2.5, [0.0, 0.0, 0.4, 0.4, 1.3], [0.0, 0.5, 0.5, 1.0, 2.0]),  # jumps
@@ -581,7 +658,10 @@ _PROFILES = [
     # -0.0 beside 0.0 keeps both spellings, beside a run and alone
     RadialProfile(1.0, [-0.0, 0.0, 1.0], [0.0, 0.5, 0.5]),
     RadialProfile(1.0, [0.0, 0.5, 0.5, 1.0], [-0.0, 0.0, 1.0, 1.0]),
+    _block_edge_profile(),
 ]
+_PROFILE_IDS = ["zero", "jumps", "negative_zero", "tiny", "huge", "moser", "tied_steps", "signed_zero_s",
+                "signed_zero_v", "block_edges"]
 _pairs = st.lists(st.tuples(_floats, _floats).map(list), max_size=6)
 _keys = st.one_of(st.text(max_size=6), st.sampled_from(['a"b', "c\\d", "\u00e9\u2603", "\x00"]))
 _leaves = st.one_of(
@@ -627,8 +707,7 @@ def test_json_text_matches_stdlib(payload):
     assert _json_text(payload) == want
 
 
-@pytest.mark.parametrize("p", _PROFILES, ids=["zero", "jumps", "negative_zero", "tiny", "huge", "moser",
-                                               "tied_steps", "signed_zero_s", "signed_zero_v"])
+@pytest.mark.parametrize("p", _PROFILES, ids=_PROFILE_IDS)
 def test_json_text_writes_a_profile_as_its_dict(p):
     want = json.dumps(p.to_dict(), sort_keys=True, indent=2)
     assert _json_text(p) == want
@@ -637,6 +716,44 @@ def test_json_text_writes_a_profile_as_its_dict(p):
     assert q.s is p.s and q.v is p.v
     nested = {"a": p, "b": [p, q], "profiles": [p, p, q], "tag": "x"}
     assert _json_text(nested) == json.dumps(nested, sort_keys=True, indent=2, default=_json_default)
+
+
+def _ns(out):
+    return argparse.Namespace(format="json", out=out, raw_argv=[], seed=0)
+
+
+@pytest.mark.parametrize("p", _PROFILES, ids=_PROFILE_IDS)
+def test_emit_writes_a_profile_to_a_file_and_to_stdout(tmp_path, capsys, p):
+    # q shares p's knot arrays, and both recur at two indents
+    q = scale_dilate(p, 2.0 if p.t_support > 1.0 else 0.5)
+    assert q.s is p.s and q.v is p.v
+    payloads = [p, {"a": p, "b": [q, p], "profiles": [p, q], "tag": "x"}]
+    for payload in payloads:
+        want = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        out = tmp_path / "out.json"
+        _emit(_ns(str(out)), payload)
+        assert out.read_text() == want
+        _emit(_ns(None), payload)
+        assert capsys.readouterr().out == want
+
+
+def test_emit_holds_a_bounded_part_of_a_long_profile(tmp_path):
+    # 200k knots of 100k tied steps; the writer holds one knot block at a
+    # time, not the file's text
+    rng = np.random.default_rng(5)
+    values = rng.permutation(np.arange(1, 100_001) / 1e5)
+    p = decreasing_rearrangement(WeightedSamples(values, rng.uniform(0.5, 2.0, values.size)))
+    assert p.n_knots == 200_000
+    out = tmp_path / "steps.json"
+    tracemalloc.start()
+    try:
+        _emit(_ns(str(out)), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert peak < size / 4, (peak, size)
+    assert RadialProfile.from_json(out.read_text()) == p
 
 
 def test_readme_commands_write_the_json_layout(tmp_path):

@@ -942,6 +942,9 @@ def test_from_json_leaves_the_collector_as_it_found_it():
     good = RadialProfile(1.0, [0.0, 1.0], [0.0, 1.0]).to_json()
     broken = "{не json"
     too_deep = '{"t_support": 1.0, "knots": ' + "[" * 200000 + "]" * 200000 + "}"
+    # valid json that from_dict refuses, with the collector still paused
+    string_cell = '{"t_support": 1.0, "knots": [[0.0, 0.0], [1.0, "0.5"]]}'
+    single = '{"t_support": 1.0, "knots": [[0.0, 0.0], [1.0]]}'
     was = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -952,6 +955,11 @@ def test_from_json_leaves_the_collector_as_it_found_it():
                 with pytest.raises(ValueError, match="invalid profile json") as err:
                     RadialProfile.from_json(text)
                 assert isinstance(err.value.__cause__, cause)
+                assert gc.isenabled() is enabled
+            for text in (string_cell, single):
+                with pytest.raises(ValueError, match="profile needs t_support and knots") as err:
+                    RadialProfile.from_json(text)
+                assert isinstance(err.value.__cause__, TypeError)
                 assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
