@@ -169,65 +169,52 @@ def _knot_blocks(s, v, row):
         yield (more * k if i else pair + more * (k - 1)) % tuple(cells)
 
 
-def _knot_ids(obj):
-    """(id(s), id(v)) of each profile in obj; scale_dilate's profiles share
-    their parent's."""
-    if isinstance(obj, RadialProfile):
-        yield id(obj.s), id(obj.v)
-    elif isinstance(obj, (list, tuple, dict)):
-        for x in obj.values() if isinstance(obj, dict) else obj:
-            yield from _knot_ids(x)
+# json.dumps writes this string as each profile's knot list; _json_parts
+# puts the knots in its place
+_STUB = "moser2d-knots"
 
 
-def _json_parts(obj, pad="\n", knot_texts=None):
+def _json_parts(obj):
     """json.dumps(obj, sort_keys=True, indent=2, default=_json_default), byte
     for byte, as a sequence of strings; a profile's knots come in parts of
     _KNOT_BLOCK knots, each filled into one %s template.
 
-    pad is a newline plus the indent of the line that holds obj.  It walks
-    non-empty lists and tuples, and dicts whose keys are all strings, only
-    to reach profiles; json writes every other value.  The knot text of
-    profiles that share their knot arrays is made once per indent and
-    kept: knot_texts maps (id(s), id(v)) of each shared pair to {indent:
-    parts}, and the profiles in obj hold the arrays, so that no id is
-    reused while the parts are made.  Every other profile's parts are made
-    as they are taken, so that a writer holds one part at a time.
+    json lays out the text with _STUB as each profile's knot list.  The knot
+    text of profiles that share their knot arrays is made once per indent
+    and kept under (id(s), id(v), row), while profiles holds the arrays, so
+    that no id is reused; every other profile's parts are made as they are
+    taken, so that a writer holds one part at a time.  Where obj holds the
+    stub's own text, json writes it all.
     """
-    if knot_texts is None:
-        counts = collections.Counter(_knot_ids(obj))
-        knot_texts = {key: {} for key, n in counts.items() if n > 1}
-    inner = pad + "  "
-    if isinstance(obj, RadialProfile):
+    found = []
+
+    def hook(x):
+        if isinstance(x, RadialProfile):
+            found.append(x)
+            return {"knots": _STUB, "t_support": x.t_support}
+        return _json_default(x)
+
+    pieces = json.dumps(obj, sort_keys=True, indent=2, default=hook).split(json.dumps(_STUB))
+    # json's encoder, a cycle of closures, holds hook until the collector
+    # runs; rebinding found makes hook's cell let go of the profiles now
+    profiles, found = found, None
+    if len(pieces) != len(profiles) + 1:
+        yield json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+        return
+    counts = collections.Counter((id(p.s), id(p.v)) for p in profiles)
+    kept = {}
+    yield pieces[0]
+    for p, before, after in zip(profiles, pieces, pieces[1:]):
+        # before ends with the stub's line: a newline, the indent, '"knots": '
+        inner = before[before.rindex("\n") : -len('"knots": ')]
         row = inner + "  "
-        s, v = obj.s, obj.v
-        yield "{%s\"knots\": [%s" % (inner, row)
-        kept = knot_texts.get((id(s), id(v)))
-        if kept is None:
-            yield from _knot_blocks(s, v, row)
-        else:
-            if row not in kept:
-                kept[row] = list(_knot_blocks(s, v, row))
-            yield from kept[row]
-        yield "%s],%s\"t_support\": %r%s}" % (inner, inner, obj.t_support, pad)
-    elif isinstance(obj, (list, tuple)) and obj:
-        sep = "[" + inner
-        for x in obj:
-            yield sep
-            yield from _json_parts(x, inner, knot_texts)
-            sep = "," + inner
-        yield pad + "]"
-    elif isinstance(obj, dict) and set(map(type, obj)) == {str}:
-        sep = "{" + inner
-        for k in sorted(obj):
-            yield sep + json.dumps(k) + ": "
-            yield from _json_parts(obj[k], inner, knot_texts)
-            sep = "," + inner
-        yield pad + "}"
-    elif isinstance(obj, (list, tuple, dict, np.ndarray)):
-        # no JSON string holds a raw newline, so every newline starts a line
-        yield json.dumps(obj, sort_keys=True, indent=2, default=_json_default).replace("\n", pad)
-    else:
-        yield json.dumps(obj, default=_json_default)
+        key = (id(p.s), id(p.v), row)
+        if counts[key[:2]] > 1 and key not in kept:
+            kept[key] = list(_knot_blocks(p.s, p.v, row))
+        yield "[" + row
+        yield from kept.get(key) or _knot_blocks(p.s, p.v, row)
+        yield inner + "]"
+        yield after
 
 
 def _emit(ns, payload, rows=None) -> None:
@@ -396,7 +383,7 @@ def _c_columns(path, first):
             path, delimiter=",", comments=None, quotechar='"', usecols=(0, 1), ndmin=2,
             skiprows=skip, encoding="utf-8-sig",
         )
-    return cols.T.copy()
+    return cols.T
 
 
 # numpy's float parser strips these ASCII separators around a number, and

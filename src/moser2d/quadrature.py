@@ -258,9 +258,12 @@ def _linear(log_w, v0, m, length, beta, tol, remainder, row, bounds=True):
             # every profile's routed pieces get the bits of their own call
             total, trunc = _series(rw0[routed], h[routed], length[routed], remainder, row[routed])
             scale = log_w[routed] + w0[routed]
-            log_piece[routed] = scale + np.log(total)
+            log_total = np.log(total)
+            log_piece[routed] = scale + log_total
             if bounds:
-                err = _EPS * total * (_TERM_ULPS + np.abs(log_w[routed]) + w0[routed]) + trunc
+                # log_total is a summand of the exponent too
+                size = _TERM_ULPS + np.abs(log_w[routed]) + w0[routed] + np.abs(log_total)
+                err = _EPS * total * size + trunc
                 log_err[routed] = scale + np.log(err)
     return log_piece, log_err
 
@@ -346,7 +349,9 @@ def _stack_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
             idx = const.nonzero()[0]
             row = idx // (k - 1)
             knot = idx + row
-            w = beta * v_flat[knot] ** 2
+            vc = v_flat[knot]
+            # v > 1.34e154: the square alone leaves binary64, beta v v may not
+            w = np.where(vc * vc == math.inf, beta * vc * vc, beta * vc**2)
             log_w = log_t[row] - s_flat[knot]
             lg = np.log(_g_scaled(w, remainder) * -np.expm1(-ds[idx]))
             lp = log_w + w + lg

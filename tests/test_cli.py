@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -716,6 +717,37 @@ def test_json_text_writes_a_profile_as_its_dict(p):
     assert q.s is p.s and q.v is p.v
     nested = {"a": p, "b": [p, q], "profiles": [p, p, q], "tag": "x"}
     assert _json_text(nested) == json.dumps(nested, sort_keys=True, indent=2, default=_json_default)
+
+
+_STUB_PAYLOADS = [
+    cli._STUB,
+    {cli._STUB: 1.0},
+    {"a": cli._STUB, "p": moser(1000)},
+    {cli._STUB: moser(1000)},
+    ['x"' + cli._STUB, moser(1000)],  # the escaped quote before the stub reads as its opening quote
+    {"p": moser(1000), "z": [cli._STUB + "\\"]},
+    (([moser(1000), {"q": (moser(100),)}],),),  # profiles at depth 3 and 5 inside tuples
+]
+
+
+@pytest.mark.parametrize("payload", _STUB_PAYLOADS)
+def test_json_text_of_payloads_that_hold_the_stub(payload):
+    want = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    assert _json_text(payload) == want
+
+
+def test_json_text_holds_no_profile_past_the_call():
+    # json's encoder is a cycle of closures that keeps its default hook until
+    # the collector runs; the profiles it wrote must not wait for that
+    p = _PROFILES[-1]
+    before = sys.getrefcount(p)
+    gc.disable()
+    try:
+        _json_text({"a": [p, p]})
+        held = sys.getrefcount(p) - before
+    finally:
+        gc.enable()
+    assert held == 0
 
 
 def _ns(out):

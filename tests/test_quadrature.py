@@ -385,6 +385,19 @@ def test_last_knot_past_the_square_root_of_binary64_max():
         assert exc.value.knot_index == n - 1 and exc.value.knot_v == 1e200
 
 
+def test_constant_pieces_past_the_square_root_of_binary64_max():
+    # v = 1e155 squares past binary64, while beta v^2 = 1e5 does not; the
+    # constant pieces lie past s = 1e5, where e^-s leaves them nothing, so
+    # both functionals keep the bits of the profile that ends at the rise
+    rise = RadialProfile(1.0, [0.0, 1e5], [0.0, 1e155])
+    want = tm_functional(rise, 1e-305), remainder_functional(rise, 1e-305)
+    assert want[0].j_beta == 2.0000400023822644 and want[1] == 2.0000200023822647
+    for n_const in (1, 2, 10):
+        p = RadialProfile(1.0, [0.0, *(1e5 * np.arange(1, n_const + 2))], [0.0, *[1e155] * (n_const + 1)])
+        got = tm_functional(p, 1e-305), remainder_functional(p, 1e-305)
+        assert (got[0].j_beta, got[0].quad_error, got[1]) == (want[0].j_beta, want[0].quad_error, want[1])
+
+
 def test_sum_past_binary64_names_the_last_knot():
     # beta c^2 = 700: the constant pieces and the plateau each stay below
     # the binary64 maximum, and only their sum, about 2.2e308, leaves it;
@@ -416,6 +429,30 @@ def test_short_series_pieces_do_not_warn():
             warnings.simplefilter("error")
             value = tm_functional(p, 4.0 * PI).j_beta
         assert rel_err(value, brute_j(p, 4.0 * PI)) <= 1e-10
+
+
+def test_routed_pieces_bound_the_rounding_of_their_log():
+    # every piece routes to the series, whose sums have logs near -340: the
+    # exponent's rounding, about 540 eps in all, exceeded a bound that left
+    # log(total) out.  beta U^2 < 1e-147, so J is beta T int U^2 e^-s ds to
+    # far below its bound, here from the exact moments at 80 digits
+    import mpmath as mp
+
+    t, beta = 2.3455094106593155e-87, 0.25563682031475216
+    s = [0.0, 2.426477929269902, 3.2976972919802328, 19.095950149031626]
+    v = [0.0, 4.848819137275191e-74, 5.473213484233667e-74, 5.480036056602678e-74]
+    got = tm_functional(RadialProfile(t, s, v), beta)
+    with mp.workdps(80):
+        ref = mp.mpf(v[-1]) ** 2 * mp.exp(-mp.mpf(s[-1]))
+        for s0, s1, v0, v1 in zip(s, s[1:], map(mp.mpf, v), v[1:]):
+            length = mp.mpf(s1) - s0
+            m = (v1 - v0) / length
+            moments = [mp.gammainc(j + 1, 0, length) for j in range(3)]
+            ref += mp.exp(-mp.mpf(s0)) * (v0 * v0 * moments[0] + 2 * v0 * m * moments[1] + m * m * moments[2])
+        ref *= mp.mpf(t) * beta
+        err = float(abs(got.j_beta - ref) / ref)
+    assert got.j_beta == 3.565030452121072e-235
+    assert 6e-14 < err <= got.quad_error
 
 
 def test_steep_pieces_count_as_jumps():
