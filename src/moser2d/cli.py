@@ -222,25 +222,22 @@ def _emit(ns, payload, rows=None) -> None:
     manifest beside --out or to stderr.
 
     JSON goes out part by part as _json_parts makes it, so that a profile's
-    text is never held whole; the CSV and the manifest are written whole.
+    text is never held whole; the CSV and the manifest, which holds no
+    profile, are written whole.
     """
     if ns.format == "csv":
         parts = [_csv_text(rows if rows is not None else _kv_rows(payload))]
     else:
         parts = itertools.chain(_json_parts(payload), ["\n"])
-    manifest = "".join(
-        _json_parts(
-            {
-                "argv": list(ns.raw_argv),
-                "package": "moser2d " + __version__,
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "seed": ns.seed,
-            }
-        )
-    )
-    manifest += "\n"
+    manifest = {
+        "argv": list(ns.raw_argv),
+        "package": "moser2d " + __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "seed": ns.seed,
+    }
+    manifest = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.writelines(parts)

@@ -15,13 +15,15 @@ its permutation from the incumbent, places and scores them as one stack,
 and walks them in order.  The first acceptance discards the rest, which
 were built from the old incumbent.  A stack costs about as much as a dozen
 rows, so each batch is as long as the ascent's mean run of failed moves
-per acceptance so far, and as long as allowed before its first.  Each row is computed as it would be alone, so the
-search is the one-move-at-a-time search, bit for bit, at any batch width.
+per acceptance so far, and as long as allowed before its first.  Each row
+is computed as it would be alone, so the search is the one-move-at-a-time
+search, bit for bit, at any batch width.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -225,6 +227,18 @@ def family_starts(constraint: ConstraintSet):
             for label, t_r, s_r, v_r in zip(labels, t.tolist(), s, v)]
 
 
+def _count(x, least: int, message: str) -> int:
+    """x as an int (a Python or numpy integer); ValueError(message) unless
+    it is an integer >= least."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(message) from None
+    if x < least:
+        raise ValueError(message)
+    return x
+
+
 def maximize(
     constraint: ConstraintSet,
     beta: float,
@@ -266,10 +280,8 @@ def maximize(
         )
     if constraint.kind != "reduced" and beta > _4PI:
         raise ValueError("supremum is infinite for beta > 4 pi = %.6g" % _4PI)
-    if n_knots < 4:
-        raise ValueError("n_knots must be >= 4")
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    n_knots = _count(n_knots, 4, "n_knots must be >= 4 and an integer")
+    budget = _count(budget, 1, "budget must be positive and an integer")
     t_start = time.perf_counter()
     rng = np.random.default_rng(seed)
     hot_tol = 1e-6

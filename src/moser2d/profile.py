@@ -43,8 +43,8 @@ _4PI = 4.0 * math.pi
 # e^-s is a normal float for s up to this
 _NORMAL_MIN = sys.float_info.min
 _S_NORMAL = -math.log(_NORMAL_MIN)
-# profiles of at most this many knots are checked and measured on Python
-# floats, as quadrature sums them
+# profiles of at most this many knots are measured on Python floats, as
+# quadrature sums them
 _SHORT_KNOTS = _SHORT_PIECES + 1
 
 
@@ -90,23 +90,6 @@ def _tol(tol) -> float:
     if not (0.0 < tol <= 1e-6):
         raise ValueError("tol must lie in (0, 1e-6]")
     return tol
-
-
-def _short_knots_ok(s, v) -> bool:
-    """True when the float lists s, v are valid knots without a jump.
-
-    A short profile's knots are checked on Python floats, whose
-    differences round as numpy's do; an input with a repeated s or with
-    any fault returns False and takes _check_knots, which picks the message.
-    """
-    return (
-        s[0] == 0.0
-        and v[0] >= 0.0
-        and math.isfinite(s[-1])
-        and math.isfinite(v[-1])
-        and all(b - a > 0.0 for a, b in zip(s, s[1:]))
-        and all(b - a >= 0.0 for a, b in zip(v, v[1:]))
-    )
 
 
 def _check_knots(s, v):
@@ -161,11 +144,9 @@ class RadialProfile:
     - a repeated s carries a jump (no duplicate knot), and no three knots
       share one s (no stacked jumps).
 
-    A short profile (at most _SHORT_KNOTS knots) is checked and measured
-    on Python floats, bit for bit as on arrays: knots without a jump are
-    checked on floats, and the norms of a plain profile (see _short_plain)
-    are summed on floats.  Any other input, and any rejected one, runs the
-    array checks, so the accepted set and the messages are the same.
+    Every input runs the array checks of _check_knots.  The norms of a
+    plain short profile (at most _SHORT_KNOTS knots, see _short_plain) are
+    summed on Python floats, bit for bit as on arrays.
 
     Profiles derived by scale_dilate, scale_amplitude and tau_rescale
     share their parent's read-only knot arrays, or own new ones that keep
@@ -180,8 +161,7 @@ class RadialProfile:
         v = _floats(v)
         if s.ndim != 1 or s.shape != v.shape or s.size == 0:
             raise ValueError("knot arrays must be equal-length 1-d and nonempty")
-        if not (s.size <= _SHORT_KNOTS and _short_knots_ok(s.tolist(), v.tolist())):
-            _check_knots(s, v)
+        _check_knots(s, v)
         s.setflags(write=False)
         v.setflags(write=False)
         self._t_support = t
@@ -263,10 +243,10 @@ class RadialProfile:
             "knots": np.column_stack((self._s, self._v)).tolist(),
         }
 
-    def to_json(self, indent=None) -> str:
+    def to_json(self) -> str:
         # repr of binary64 floats is shortest round-trip decimal, so the
         # serialization is bit-faithful
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "RadialProfile":

@@ -121,8 +121,8 @@ _ORDER_RISE = np.array([_least_rise(j) for j in range(4, _SERIES_TERMS, 2)])
 # path about 33 us (40) at any count up to 24: they cross near 12 pieces
 # (10).  numpy sums fewer than 8 values left to right, the order the short
 # path keeps, so the constant stays below 8.
-# profile.py shares it: a profile of at most _SHORT_PIECES + 1 knots is also
-# checked and measured on floats.
+# profile.py shares it: the norms of a profile of at most _SHORT_PIECES + 1
+# knots are also summed on floats.
 _SHORT_PIECES = 7
 
 

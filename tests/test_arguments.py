@@ -9,12 +9,14 @@ more scans keep the package's shape: each module's API is exported once,
 and every private helper or constant is read somewhere in the package.
 The number arguments with a rule of their own read an int beyond binary64
 range as the float inf, through profile._float, as the shared rules do.
+maximize's two counts, n_knots and budget, take integers only.
 """
 
 import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moser2d
@@ -105,6 +107,34 @@ def test_every_site_refuses_with_the_shared_message(site, call, x, msg):
         call(x)
     assert type(exc.value) is ValueError
     assert str(exc.value) == msg
+
+
+_RUF = ConstraintSet("ruf")
+# maximize's counts take a Python or numpy integer: any other number, even
+# an integral float, is refused as a count below the floor is
+_COUNTS = [
+    ("n_knots", lambda x: maximize(_RUF, 4.0 * PI, n_knots=x, budget=1), x,
+     "n_knots must be >= 4 and an integer")
+    for x in (8.0, 3, -1, math.nan, "8", None)
+] + [
+    ("budget", lambda x: maximize(_RUF, 4.0 * PI, n_knots=4, budget=x), x,
+     "budget must be positive and an integer")
+    for x in (50.0, math.inf, math.nan, 0, -1, 1.0, "50", None)
+]
+
+
+@pytest.mark.parametrize(
+    "site, call, x, msg", _COUNTS, ids=["maximize_%s-%r" % (c[0], c[2]) for c in _COUNTS]
+)
+def test_maximize_refuses_a_count_that_is_no_integer(site, call, x, msg):
+    test_every_site_refuses_with_the_shared_message(site, call, x, msg)
+
+
+def test_maximize_takes_numpy_integer_counts():
+    want = maximize(_RUF, 4.0 * PI, n_knots=5, budget=30)
+    got = maximize(_RUF, 4.0 * PI, n_knots=np.int64(5), budget=np.int32(30))
+    assert got.best_value.hex() == want.best_value.hex()
+    assert got.n_evaluations == 30
 
 
 # float() of an int beyond binary64 range raises OverflowError; such an int

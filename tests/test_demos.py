@@ -30,3 +30,21 @@ def test_demo_runs(argv, closing):
     )
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(closing, done.stdout.splitlines()[-1].strip()), done.stdout
+
+
+def test_walkthrough_gives_a_verdict_below_the_vanishing_level():
+    # at this budget the ruf search ends below beta times the L2 budget at
+    # zero energy (12.56612819 against 12.56637061), and the verdict says so
+    argv = ["--constraint", "ruf", "--beta-over-pi", "4", "--budget", "3000"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "optimize_walkthrough.py"), *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "best value: 12.56612819" in lines
+    assert "vanishing level, beta times the L2 budget at zero energy: 12.56637061" in lines
+    verdicts = [x for x in lines if x.startswith("verdict: ")]
+    assert verdicts == ["verdict: the maximizer stays at or below the vanishing level at this budget"]

@@ -132,8 +132,8 @@ def _knot_inputs(draw):
 @example((1.0, [0.0, 1.0, 1.0, 1.0], [0.0, 0.5, 0.7, 0.9]))
 @example((1.0, [[0.0, 1.0]], [[0.0, 0.5]]))
 @example((1.0, [], []))
-# a nan or inf after a valid difference, in s and in v: Python's min would
-# skip the nan, the short path's all() does not
+# a nan or inf after a valid difference, in s and in v: numpy's min of the
+# differences passes the nan on, where Python's min would skip it
 @example((1.0, [0.0, 0.5, math.nan, 2.0], [0.0, 0.5, 1.0, 1.5]))
 @example((1.0, [0.0, 0.5, math.inf, 2.0], [0.0, 0.5, 1.0, 1.5]))
 @example((1.0, [0.0, 0.5, 1.0, 2.0], [0.0, 0.5, math.nan, 1.5]))
@@ -293,9 +293,9 @@ def test_short_norms_are_bit_identical_to_array_norms():
 
 @pytest.mark.parametrize("n, short", [(_SHORT_KNOTS, True), (_SHORT_KNOTS + 1, False)])
 def test_short_paths_end_at_one_knot_count(n, short, monkeypatch):
-    # construction, norms and J all take the float path up to _SHORT_KNOTS
-    # knots, and all take the array path past it
-    calls = dict.fromkeys(["_short_knots_ok", "_check_knots", "_dedupe", "_short_dirichlet_sq",
+    # norms and J all take the float path up to _SHORT_KNOTS knots, and all
+    # take the array path past it
+    calls = dict.fromkeys(["_check_knots", "_dedupe", "_short_dirichlet_sq",
                            "_dirichlet_sq", "_short_l2_sq", "_l2_sq", "_short_pieces", "_array_pieces"], 0)
 
     def record(module, name):
@@ -312,12 +312,13 @@ def test_short_paths_end_at_one_knot_count(n, short, monkeypatch):
     p = RadialProfile(1.0, np.linspace(0.0, 3.0, n), np.linspace(0.0, 1.0, n))
     u = scale_amplitude(p, 0.5)
     tm_functional(u, 4.0 * PI)
-    float_path = ["_short_knots_ok", "_short_dirichlet_sq", "_short_l2_sq", "_short_pieces"]
-    array_path = ["_check_knots", "_dirichlet_sq", "_l2_sq", "_array_pieces"]
+    float_path = ["_short_dirichlet_sq", "_short_l2_sq", "_short_pieces"]
+    array_path = ["_dirichlet_sq", "_l2_sq", "_array_pieces"]
     want = dict.fromkeys(calls, 0)
     want.update(dict.fromkeys(float_path if short else array_path, 1))
-    # every rescale drops collapsed jumps on arrays
-    want["_dedupe"] = 1
+    # every profile's knots are checked on arrays, and every rescale drops
+    # collapsed jumps on arrays
+    want["_check_knots"] = want["_dedupe"] = 1
     assert calls == want
 
 
