@@ -239,11 +239,11 @@ def _emit(ns, payload, rows=None) -> None:
     }
     manifest = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     if ns.out:
-        with open(ns.out, "w") as fh:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
-        with open(ns.out + ".manifest.json", "w") as fh:
+        with open(ns.out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(manifest)
-        with open(ns.out + ".stamp", "w") as fh:
+        with open(ns.out + ".stamp", "w", encoding="utf-8") as fh:
             fh.write(datetime.now(timezone.utc).isoformat() + "\n")
             wall = getattr(ns, "wall_time", None)
             if wall is not None:
@@ -396,20 +396,20 @@ def _plain_name(path) -> bool:
 
 
 def _read_samples(path):
-    """The value and area columns of the CSV file at path, as _csv_rows
-    reads them once a leading byte-order mark is dropped.
+    """The value and area columns of the UTF-8 CSV file at path, as
+    _csv_rows reads them once a leading byte-order mark is dropped.
 
     _c_columns reads a seekable file without a byte of _SEPARATORS whose
     name numpy reads as a plain file; where it raises, and for every other
     file, _csv_rows reads the rows and picks the message.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         fast = fh.seekable() and _plain_name(path)
         if fast:
             blocks = iter(functools.partial(fh.buffer.read, 1 << 20), b"")
             fast = not any(sep in block for block in blocks for sep in _SEPARATORS)
             fh.seek(0)
-        first = fh.readline().removeprefix("\ufeff")
+        first = fh.readline()
         if fast:
             try:
                 return _c_columns(path, first)

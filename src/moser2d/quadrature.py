@@ -22,9 +22,10 @@ the knot.
 
 Profiles of up to _SHORT_PIECES pieces whose pieces are jumps or closed-form
 rises, such as the one- and two-piece family members, are summed piece by
-piece on Python floats: the rising pieces and the plateau.  Every other
-profile, including a short one with a constant piece or a piece routed to
-the series, is summed on arrays; both paths give bit-identical results.
+piece on Python floats, which raise only for a plateau past binary64.  Every
+other profile is summed on arrays, including a short one with a constant,
+routed or cancelled piece or a rising piece or sum past binary64; both
+paths give bit-identical results and blame the same knot.
 The array path also sums a stack of profiles at once, giving each row the
 bits it would get alone; the series sums the routed pieces of all rows that
 share a truncation order and a routed-piece count in one pass.
@@ -116,11 +117,11 @@ def _least_rise(order):
 _ORDER_RISE = np.array([_least_rise(j) for j in range(4, _SERIES_TERMS, 2)])
 # profiles of at most this many pieces take _short_pieces, longer ones
 # _array_pieces, and so does a short profile for which _short_pieces
-# returns None (a constant piece or a routed one).  On a 2-CPU Xeon the
-# short path costs about 2.5 us a piece (4 for the remainder), the array
-# path about 33 us (40) at any count up to 24: they cross near 12 pieces
-# (10).  numpy sums fewer than 8 values left to right, the order the short
-# path keeps, so the constant stays below 8.
+# returns None (a constant piece, a routed one, an overflow).  On a 2-CPU
+# Xeon the short path costs about 2.5 us a piece (4 for the remainder), the
+# array path about 33 us (40) at any count up to 24: they cross near 12
+# pieces (10).  numpy sums fewer than 8 values left to right, the order the
+# short path keeps, so the constant stays below 8.
 # profile.py shares it: the norms of a profile of at most _SHORT_PIECES + 1
 # knots are also summed on floats.
 _SHORT_PIECES = 7
@@ -291,10 +292,7 @@ def _exp_integral(t_support, s, v, beta, tol, remainder, bounds=True):
     if out is None:
         s, v = np.asarray(s, dtype=float), np.asarray(v, dtype=float)
         out = _array_pieces(log_t, s, v, beta, tol, remainder, bounds)
-    total, err = out
-    if math.isinf(total):
-        raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
-    return total, err
+    return out
 
 
 def _plateau(log_t, s_end, v_end, beta, remainder):
@@ -398,6 +396,10 @@ def _stack_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
             else:
                 (piece,) = _row_sums(row, n, np.exp(lp))
             total += piece
+    # a row whose pieces each fit but whose sum does not: its last knot
+    for r, x in enumerate(total.tolist()):
+        if x == math.inf and blame[r] is None:
+            blame[r] = (k - 1, s[r, -1], v[r, -1])
     return total, err, blame
 
 
@@ -435,26 +437,15 @@ def _stack_values(t_support, s, v, beta, tol):
     _stack_pieces without error bounds."""
     log_t = np.array([math.log(t) for t in t_support])
     total, _, blame = _stack_pieces(log_t, s, v, beta, tol, False, bounds=False)
-    out = total.tolist()
-    for r, b in enumerate(blame):
-        if b is None and math.isinf(out[r]):
-            b = (s.shape[1] - 1, s[r, -1], v[r, -1])
-        if b is not None:
-            out[r] = ValueOverflowError(*b)
-    return out
-
-
-def _log(x):
-    """np.log(x) as float, with the array path's -inf at 0 and nan below, unwarned."""
-    if x > 0.0:
-        return float(np.log(x))
-    return -math.inf if x == 0.0 else math.nan
+    return [ValueOverflowError(*b) if b else x for x, b in zip(total.tolist(), blame)]
 
 
 def _short_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
     """_array_pieces one piece at a time on Python floats, bit for bit, or
-    None where the array path must sum: at a constant piece, or at a rising
-    piece that routing sends to the series.
+    None where the array path must sum and name any knot to blame: at a
+    constant piece, at a rising piece that routing sends to the series or
+    whose terms cancel to nothing, and where a rising piece or the sum
+    leaves binary64.  Only a plateau past binary64 raises here.
 
     Every operation is the array path's, in its order, including the
     transcendentals: numpy's scalar ufuncs, since math.exp and math.log
@@ -464,22 +455,16 @@ def _short_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
     """
     if type(s) is not list or type(v) is not list:
         s, v = np.asarray(s, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
-    lin = []
-    for i in range(len(s) - 1):
-        ds, dv = s[i + 1] - s[i], v[i + 1] - v[i]
-        if ds > 0.0 and dv == 0.0 and v[i] > 0.0:
-            return None
-        if ds > 0.0 and dv > 0.0 and beta * (dv / ds) < math.inf:
-            lin.append(i)
-
-    total, err = _plateau(log_t, s[-1], v[-1], beta, remainder)
-    if total == math.inf:
-        raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
     rb = math.sqrt(beta)
     lps, les = [], []
-    for i in lin:
-        log_w, v0, length = log_t - s[i], v[i], s[i + 1] - s[i]
-        m = (v[i + 1] - v0) / length
+    for i in range(len(s) - 1):
+        log_w, v0, length, dv = log_t - s[i], v[i], s[i + 1] - s[i], v[i + 1] - v[i]
+        if length > 0.0 and dv == 0.0 and v0 > 0.0:
+            return None
+        # a jump has no measure, and a piece whose beta m overflows is skipped as one
+        if not (length > 0.0 and dv > 0.0 and beta * (dv / length) < math.inf):
+            continue
+        m = dv / length
         rbm, rw0 = rb * m, rb * v0
         # a slope that underflowed gives numpy's inf, where Python would raise
         w0, z1 = rw0 * rw0, rw0 - (0.5 / rbm if rbm > 0.0 else math.inf)
@@ -496,20 +481,25 @@ def _short_pieces(log_t, s, v, beta, tol, remainder, bounds=True):
         ts = sub * rbm * float(np.exp(-(w0 + top)))
         net = t2 - t1 - ts
         mag = abs(t1) + abs(t2) + ts
-        if not _TERM_ULPS * _EPS * mag <= tol * net and h * (2.0 * rw0 + h) <= _SERIES_MAX_RISE:
+        if not net > 0.0 or not _TERM_ULPS * _EPS * mag <= tol * net and h * (2.0 * rw0 + h) <= _SERIES_MAX_RISE:
             return None
         log_rbm = float(np.log(rbm))
         scale = log_w + w0 + top - log_rbm
-        lps.append(scale + _log(max(net, 0.0)))
+        lps.append(scale + float(np.log(net)))
         if bounds:
             size = _TERM_ULPS + abs(log_w) + w0 + top + abs(log_rbm)
-            les.append(scale + _log(_EPS * mag * size))
+            les.append(scale + float(np.log(_EPS * mag * size)))
+    total, err = _plateau(log_t, s[-1], v[-1], beta, remainder)
+    if total == math.inf:
+        raise ValueOverflowError(len(v) - 1, s[-1], v[-1])
     if any(lp >= _LOG_MAX for lp in lps):
-        j = lin[int(np.argmax(lps))] + 1
-        raise ValueOverflowError(j, s[j], v[j])
+        return None
     piece_sum = err_sum = 0.0
     for lp in lps:
         piece_sum += float(np.exp(lp))
     for le in les:
         err_sum += float(np.exp(min(le, _LOG_MAX)))
-    return total + piece_sum, err + err_sum if bounds else None
+    total += piece_sum
+    if total == math.inf:
+        return None
+    return total, err + err_sum if bounds else None

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from moser2d import RadialProfile, SequenceSpec, blowup_scan, cap_l2_sq, moser, scale_dilate, tm_functional
+from moser2d import (ConstraintSet, RadialProfile, SequenceSpec, blowup_scan, cap_l2_sq, maximize, moser,
+                     scale_dilate, tm_functional)
 from moser2d import cli
 from moser2d.cli import _KNOT_BLOCK, _emit, _json_default, _json_parts, build_parser
 from moser2d.rearrangement import WeightedSamples, decreasing_rearrangement
@@ -337,6 +338,17 @@ def test_optimize_outputs_are_reproducible(tmp_path):
     res = run_cli(*args)
     assert res.returncode == 0
     assert out.read_bytes() == first
+    # --seed 1 reaches maximize, the payload and the manifest, and moves the result
+    seeded = tmp_path / "seed1.json"
+    res = run_cli(*args[:-1], str(seeded), "--seed", "1")
+    assert res.returncode == 0, res.stderr
+    got = json.loads(seeded.read_bytes())
+    want = maximize(ConstraintSet("reduced"), 2.0 * math.pi, n_knots=8, budget=200, seed=1)
+    assert got["best_value"].hex() == want.best_value.hex()
+    assert got["best_profile"]["knots"] == want.best_profile.to_dict()["knots"]
+    assert got["seed"] == 1
+    assert json.loads((tmp_path / "seed1.json.manifest.json").read_text())["seed"] == 1
+    assert got["best_value"] != payload["best_value"]
 
 
 def test_scan_blowup_csv_preserves_precision(tmp_path):
@@ -560,6 +572,20 @@ def test_rearrange_reads_past_a_byte_order_mark(tmp_path):
     out = tmp_path / "profile.json"
     assert cli.main(["rearrange", "--in", str(src), "--out", str(out)]) == 0
     assert RadialProfile.from_json(out.read_text()).t_support == 3.0
+
+
+def test_files_are_read_and_written_as_utf8_in_every_locale(tmp_path):
+    # a reader on the locale's encoding (latin-1, say) took a marked first
+    # row for a header and lost it; with default-encoding warnings made
+    # errors in moser2d.cli, rearrange and eval name their encoding
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n")
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning:moser2d.cli",
+              "-m", "moser2d"]
+    for args in (["rearrange", "--in", "bom.csv", "--out", "p.json"],
+                 ["eval", "--profile", "p.json", "--beta", "0.5", "--out", "e.json"]):
+        res = _child(strict + args, cwd=tmp_path, text=True)
+        assert res.returncode == 0, res.stderr
+    assert RadialProfile.from_json((tmp_path / "p.json").read_text()).n_knots == 4
 
 
 def test_rearrange_reads_a_pipe_row_by_row():

@@ -2,9 +2,10 @@
 
 profile_exp_integral sums profiles of up to _SHORT_PIECES pieces on Python
 floats (_short_pieces) and longer ones on arrays (_array_pieces).  The
-float path sums rising pieces and the plateau only: at a constant piece or
-a piece routed to the series it returns None, and the array path sums the
-profile.  Both are called here directly on the same short profiles; where
+float path sums rising pieces and the plateau only: at a constant piece, a
+piece routed to the series or a value past binary64 anywhere but at the
+plateau it returns None, and the array path sums the profile and names the
+knot.  Both are called here directly on the same short profiles; where
 the float path sums, both must return the same (value, abs_err) or raise
 the same ValueOverflowError.  _array_pieces is one row of _stack_pieces,
 which must give every row of a stack the same.
@@ -57,9 +58,10 @@ def _outcome(pieces, p, beta, tol, remainder):
 # one knot, two pieces whose w rises by 1e-11 and 0.8, routed at tol 1e-14
 # (the float path hands them to the array path), a constant piece that
 # overflows (handed over too), a plateau that overflows, a nearly flat rise
-# of phi = w - s that overflows while the plateau fits, a constant piece and
-# a plateau that each fit but whose sum overflows, and two pieces so steep
-# that beta m overflows (m itself, and only beta m), skipped like jumps
+# of phi = w - s that overflows while the plateau fits (handed over), a
+# constant piece and a plateau that each fit but whose sum overflows, and
+# two pieces so steep that beta m overflows (m itself, and only beta m),
+# skipped like jumps
 _CASES = [
     (RadialProfile(1.0, [0.0], [0.3]), 4.0 * PI),
     (RadialProfile(2.0, [0.0, 1e-3, 1.2], [0.0, 1e-6, 0.25]), 4.0 * PI),
@@ -90,12 +92,15 @@ def test_short_path_is_bit_identical_to_array_path(tol, remainder):
 
 @pytest.mark.parametrize("remainder", [False, True], ids=["expm1", "remainder"])
 def test_float_path_hands_constant_and_routed_pieces_to_the_array_path(remainder):
-    # a short profile with a constant piece (finite, and one that overflows)
-    # or with a piece routed to the series gets None from the float path,
-    # and the public functionals then give the array path's bits or its
-    # ValueOverflowError
+    # a short profile with a constant piece (finite, and one that overflows),
+    # with a piece routed to the series, with a rising piece past binary64
+    # under a plateau that fits, or with pieces that each fit but whose sum
+    # does not gets None from the float path, and the public functionals
+    # then give the array path's bits or its ValueOverflowError
     handed = [(RadialProfile(2.0, [0.0, 0.5, 1.0], [0.0, 0.2, 0.2]), 4.0 * PI, 1e-10),
-              (_CASES[2][0], _CASES[2][1], 1e-10), (_CASES[1][0], _CASES[1][1], 1e-14)]
+              (_CASES[2][0], _CASES[2][1], 1e-10), (_CASES[1][0], _CASES[1][1], 1e-14),
+              (_CASES[4][0], _CASES[4][1], 1e-10),
+              (RadialProfile(1e307, [0.0, 1.0, 6.0], [0.0, 1.0, 2.95]), 1.0, 1e-10)]
     kind = "remainder" if remainder else "expm1"
     for p, beta, tol in handed:
         assert _outcome(q._short_pieces, p, beta, tol, remainder) is None, (p.s, p.v)
@@ -154,12 +159,14 @@ def _knots(rng, k):
 
 # rows that overflow at beta = 1, with the knot _array_pieces blames: a
 # constant piece (its left knot), the plateau (the last knot, checked before
-# the rising pieces that overflow too) and a linear piece whose plateau fits
-# (its right knot)
+# the rising pieces that overflow too), a linear piece whose plateau fits
+# (its right knot) and a constant piece and a plateau that each fit but
+# whose sum does not (the last knot)
 _OVERFLOWS = [
     (lambda k: (list(range(k)), [27.0] * 2 + [27.001] * (k - 2)), lambda k: 0),
     (lambda k: (np.linspace(0.0, 1.0, k).tolist(), np.linspace(0.0, 30.0, k).tolist()), lambda k: k - 1),
     (lambda k: ([0.0, 10.0], [math.sqrt(719.0) - 0.1867, math.sqrt(719.0)]) if k == 2 else None, lambda k: 1),
+    (lambda k: ([0.0, math.log(2.0)], [math.sqrt(710.0)] * 2) if k == 2 else None, lambda k: 1),
 ]
 
 
@@ -205,7 +212,7 @@ def test_stack_rows_equal_one_row_calls(remainder, monkeypatch):
     # _series call served several profiles
     assert mixed > 0
     assert max(served) >= 2
-    assert blamed == {0, 1, 2}
+    assert blamed == {0, 1, 2, 3}
 
 
 def test_stack_values_equal_profile_exp_integral(monkeypatch):
